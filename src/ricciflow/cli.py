@@ -12,12 +12,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-import tempfile
-
-import numpy as np
 
 from . import __version__
 from .curvature import (
@@ -29,7 +25,9 @@ from .curvature import (
     lly_limit_estimate,
 )
 from .flow import (
+    FLOAT_FMT,
     StepSizeTooLarge,
+    atomic_write,
     forman_flow_exact,
     lly_flow_integrate,
     normalized_trajectory,
@@ -52,7 +50,6 @@ from .spectral import (
     build_flow_matrix,
     classify_convergence,
     classify_tree_uniform,
-    curvature_bounds,
     eigendecompose,
     inverse_curvature,
 )
@@ -61,9 +58,14 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
-FMT = "{:.12g}"
-
 FIGURE2_EDGES = ((1, 5), (2, 5), (3, 4), (4, 5), (5, 6), (6, 7), (6, 8))
+# figure id -> (family, n, measure mode, m2 values) of a uniform-start flow
+FLOW_FIGURES = {
+    "fig1a": ("star", 3, "uniform", None),
+    "fig1b": ("star", 3, "normalized_deg1", [1.0, 2.0, 3.0]),
+    "fig1c": ("star", 6, "uniform", None),
+    "fig1d": ("star", 6, "normalized_deg1", [1.0] * 6),
+}
 FIGURE_IDS = ("fig1a", "fig1b", "fig1c", "fig1d", "fig2", "ex42", "ex43")
 
 
@@ -73,24 +75,11 @@ class InputError(Exception):
 
 def _fnum(x):
     # round-trip through 12 significant digits for diff-stable output
-    return float(FMT.format(float(x)))
-
-
-def _atomic_write(path, text):
-    d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp_", suffix=".part")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    return float(FLOAT_FMT.format(float(x)))
 
 
 def _write_json(path, obj):
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _edge_id(u, v):
@@ -172,14 +161,14 @@ def cmd_curvature(args):
             ",".join(
                 [
                     _edge_id(u, v),
-                    FMT.format(forman_edge(g, omega, (u, v))),
-                    FMT.format(lly_edge(g, omega, (u, v))),
-                    FMT.format(lly_limit_estimate(g, omega, (u, v), eps)),
+                    FLOAT_FMT.format(forman_edge(g, omega, (u, v))),
+                    FLOAT_FMT.format(lly_edge(g, omega, (u, v))),
+                    FLOAT_FMT.format(lly_limit_estimate(g, omega, (u, v), eps)),
                 ]
             )
         )
     out = os.path.join(args.out, f"curvature_{name}.csv")
-    _atomic_write(out, "\n".join(lines) + "\n")
+    atomic_write(out, "\n".join(lines) + "\n")
     print(out)
     return EXIT_OK
 
@@ -187,7 +176,7 @@ def cmd_curvature(args):
 def _spectrum_payload(g):
     fm = build_flow_matrix(g)
     sd = eigendecompose(fm)
-    lower, upper = curvature_bounds(g)
+    lower, upper = fm.bounds()
     return {
         "eigenvalues": [_fnum(x) for x in sd.eigenvalues],
         "lambda_max": _fnum(sd.lambda_max),
@@ -207,9 +196,8 @@ def cmd_spectrum(args):
     return EXIT_OK
 
 
-def _classify_payload(g, omega0, tol_zero):
-    report = classify_convergence(g, omega0, tol_zero=tol_zero)
-    payload = {
+def _limit_payload(g, report):
+    return {
         "classification": report.classification,
         "lambda_max": _fnum(report.lambda_max),
         "limiting_curvature": _fnum(report.limiting_curvature),
@@ -217,10 +205,15 @@ def _classify_payload(g, omega0, tol_zero):
             _edge_id(u, v): _fnum(report.limiting_normalized_metric[edge_key(u, v)])
             for u, v in g.edges
         },
-        "bounds": {
-            "lower": _fnum(report.bounds[0]),
-            "upper": _fnum(report.bounds[1]),
-        },
+    }
+
+
+def _classify_payload(g, omega0, tol_zero):
+    report = classify_convergence(g, omega0, tol_zero=tol_zero)
+    payload = _limit_payload(g, report)
+    payload["bounds"] = {
+        "lower": _fnum(report.bounds[0]),
+        "upper": _fnum(report.bounds[1]),
     }
     uniform = all(g.m1[x] == 1.0 for x in g.vertices) and all(
         m == 1.0 for m in g.m2.values()
@@ -305,46 +298,28 @@ def _reproduce_flow(g, omega0, name, out_dir, t_end=12.0, dt=0.01):
     traj = normalized_trajectory(forman_flow_exact(g, omega0, times))
     csv_path = os.path.join(out_dir, f"reproduce_{name}.csv")
     write_trajectory_csv(traj, g, csv_path)
-    report = classify_convergence(g, omega0)
-    summary = {
-        "classification": report.classification,
-        "lambda_max": _fnum(report.lambda_max),
-        "limiting_curvature": _fnum(report.limiting_curvature),
-        "limiting_normalized_metric": {
-            _edge_id(u, v): _fnum(report.limiting_normalized_metric[edge_key(u, v)])
-            for u, v in g.edges
-        },
-    }
-    return csv_path, summary
+    return csv_path, _limit_payload(g, classify_convergence(g, omega0))
 
 
 def cmd_reproduce(args):
     out_dir = args.out
     written = []
     fig = args.figure
-    if fig == "fig1a":
-        g = build_named_graph("star", 3, "uniform")
+    if fig in FLOW_FIGURES:
+        family, n, mode, m2_values = FLOW_FIGURES[fig]
+        g = build_named_graph(family, n, mode, m2_values=m2_values)
         csv_path, summary = _reproduce_flow(g, MetricAssignment.uniform(g), fig, out_dir)
-    elif fig == "fig1b":
-        g = build_named_graph("star", 3, "normalized_deg1", m2_values=[1.0, 2.0, 3.0])
-        csv_path, summary = _reproduce_flow(g, MetricAssignment.uniform(g), fig, out_dir)
-    elif fig == "fig1c":
-        g = build_named_graph("star", 6, "uniform")
-        csv_path, summary = _reproduce_flow(g, MetricAssignment.uniform(g), fig, out_dir)
-    elif fig == "fig1d":
-        g = build_named_graph("star", 6, "normalized_deg1", m2_values=[1.0] * 6)
-        csv_path, summary = _reproduce_flow(g, MetricAssignment.uniform(g), fig, out_dir)
+        written.append(csv_path)
     elif fig == "fig2":
         g = figure2_graph()
         summary = {"deltas": {}}
-        csv_path = None
         for delta in (0.0, 0.01, 0.02, 0.03):
-            name = f"fig2_delta{FMT.format(delta)}"
+            label = FLOAT_FMT.format(delta)
             omega0 = figure2_initial_metric(g, delta)
-            csv_path, sub = _reproduce_flow(g, omega0, name, out_dir)
+            csv_path, summary["deltas"][label] = _reproduce_flow(
+                g, omega0, f"fig2_delta{label}", out_dir
+            )
             written.append(csv_path)
-            summary["deltas"][FMT.format(delta)] = sub
-        csv_path = None
     elif fig in ("ex42", "ex43"):
         family = "path" if fig == "ex42" else "star"
         n = 10
@@ -352,12 +327,9 @@ def cmd_reproduce(args):
         g = build_named_graph(family, n, "normalized_deg1", m2_values=a)
         summary = _spectrum_payload(g)
         summary["m2_values"] = [_fnum(x) for x in a]
-        csv_path = None
     else:
         raise InputError(f"unknown figure id {fig!r}")
 
-    if csv_path:
-        written.append(csv_path)
     json_path = os.path.join(out_dir, f"reproduce_{fig}.json")
     _write_json(json_path, summary)
     written.append(json_path)

@@ -10,13 +10,14 @@ as a cross-check.
 
 from __future__ import annotations
 
+import os
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .curvature import CurvatureVector, lly_edge
 from .graph import (
-    MeasuredGraph,
     MetricAssignment,
     apply_surgery,
     edge_key,
@@ -27,7 +28,7 @@ from .spectral import build_flow_matrix, eigendecompose, flow_coefficients
 
 SAMPLE_EVERY_THRESHOLD = 64  # edges; beyond this keep every 10th step
 MAX_STEP_HALVINGS = 20
-FLOAT_FMT = "{:.12g}"
+FLOAT_FMT = "{:.12g}"  # 12 significant digits keep output files diff-stable
 
 
 class StepSizeTooLarge(RuntimeError):
@@ -36,22 +37,56 @@ class StepSizeTooLarge(RuntimeError):
 
 @dataclass
 class FlowTrajectory:
-    """Time-stamped samples (t, omega, kappa) plus surgery bookkeeping.
+    """Flow samples stored as arrays, one block per edge set.
 
     ``graph_snapshots`` starts with the initial graph and gains one entry
-    after each surgery; between surgeries the edge set is constant.
+    after each surgery.  ``segments[i]`` is ``(times, omega, kappa)`` for
+    the samples taken on ``graph_snapshots[i]``, one row per sample and
+    columns in that graph's edge order; it may hold no samples.
     """
 
-    samples: list  # list of (t, MetricAssignment, CurvatureVector)
+    kind: str  # "forman" or "lly"
+    graph_snapshots: list
+    segments: list
     surgeries: list = field(default_factory=list)
-    graph_snapshots: list = field(default_factory=list)
 
     @property
     def times(self):
-        return [t for t, _, _ in self.samples]
+        return [float(t) for times, _, _ in self.segments for t in times]
+
+    @property
+    def samples(self):
+        """Per-sample list of (t, MetricAssignment, CurvatureVector), built on demand."""
+        out = []
+        for g, (times, omega, kappa) in zip(self.graph_snapshots, self.segments):
+            keys = [edge_key(u, v) for u, v in g.edges]
+            for t, w_row, k_row in zip(times, omega, kappa):
+                out.append(
+                    (
+                        float(t),
+                        MetricAssignment(dict(zip(keys, w_row))),
+                        CurvatureVector(dict(zip(keys, k_row)), kind=self.kind),
+                    )
+                )
+        return out
 
     def final_graph(self):
         return self.graph_snapshots[-1]
+
+
+def _segment(g, times, omega_rows, kappa_rows):
+    shape = (len(times), g.n_edges)
+    return (
+        np.asarray(times, dtype=float),
+        np.asarray(omega_rows, dtype=float).reshape(shape),
+        np.asarray(kappa_rows, dtype=float).reshape(shape),
+    )
+
+
+def _row_totals(w):
+    # a running sum rounds like adding a sample's weights one by one in edge
+    # order, unlike numpy's pairwise row sums
+    return np.cumsum(w, axis=1)[:, -1]
 
 
 def _forman_kappa_vec(f, w_vec):
@@ -76,18 +111,13 @@ def forman_flow_exact(g, omega0, times):
     tarr = np.asarray(times, dtype=float)
     # omega[s, l] = sum_i coeff[i, l] exp(lambda_i t_s)
     w = np.exp(np.outer(tarr, sd.eigenvalues)) @ coeff
-    samples = []
-    keys = [edge_key(u, v) for u, v in g.edges]
-    for s, t in enumerate(times):
-        kappa = _forman_kappa_vec(fm.F, w[s])
-        samples.append(
-            (
-                float(t),
-                MetricAssignment(dict(zip(keys, w[s]))),
-                CurvatureVector(dict(zip(keys, kappa)), kind="forman"),
-            )
-        )
-    return FlowTrajectory(samples=samples, graph_snapshots=[g])
+    # one matrix-vector product per row: a batched W @ F.T rounds differently
+    kappa = [_forman_kappa_vec(fm.F, row) for row in w]
+    return FlowTrajectory(
+        kind="forman",
+        graph_snapshots=[g],
+        segments=[_segment(g, tarr, w, kappa)],
+    )
 
 
 def normalized_flow_state(g, omega0, t):
@@ -167,8 +197,9 @@ def lly_flow_integrate(g, omega0, t_end, dt, surgery=True):
     """Integrate the Lin-Lu-Yau flow with RK4 and optional surgery.
 
     The surgery scan runs once before each accepted step; removed edges
-    restart the system on the reduced graph.  Samples are recorded every
-    step for small graphs, every 10th step otherwise (endpoints always).
+    restart the system on the reduced graph in a new segment.  Samples are
+    recorded every step for small graphs, every 10th step otherwise
+    (endpoints always).
     """
     if t_end < 0:
         raise ValueError("t_end must be nonnegative")
@@ -176,39 +207,30 @@ def lly_flow_integrate(g, omega0, t_end, dt, surgery=True):
         raise ValueError("dt must be positive")
 
     graph = g
-    omega = omega0
-    fm = build_flow_matrix(graph)
-    kappa_fn = _lly_kappa_fn(graph, fm)
-    keys = [edge_key(u, v) for u, v in graph.edges]
-    w = omega.vector(graph)
+    kappa_fn = _lly_kappa_fn(graph, build_flow_matrix(graph))
+    w = omega0.vector(graph)
 
-    samples = []
     surgeries = []
     snapshots = [graph]
+    rows = [([], [], [])]  # (times, omega rows, kappa rows) per snapshot
 
     def record(t, w_vec):
-        kap = kappa_fn(w_vec)
-        samples.append(
-            (
-                float(t),
-                MetricAssignment(dict(zip(keys, w_vec))),
-                CurvatureVector(dict(zip(keys, kap)), kind="lly"),
-            )
-        )
+        times, omega_rows, kappa_rows = rows[-1]
+        times.append(t)
+        omega_rows.append(w_vec)
+        kappa_rows.append(kappa_fn(w_vec))
 
     keep_every = 1 if graph.n_edges <= SAMPLE_EVERY_THRESHOLD else 10
 
     def maybe_operate(t):
-        nonlocal graph, kappa_fn, keys, w, keep_every
-        bad = surgery_scan(graph, MetricAssignment(dict(zip(keys, w))))
-        if bad:
-            graph, cut, events = apply_surgery(
-                graph, MetricAssignment(dict(zip(keys, w))), t=t
-            )
+        nonlocal graph, kappa_fn, w, keep_every
+        omega = MetricAssignment.from_vector(graph, w)
+        if surgery_scan(graph, omega):
+            graph, cut, events = apply_surgery(graph, omega, t=t)
             surgeries.extend(events)
             snapshots.append(graph)
+            rows.append(([], [], []))
             kappa_fn = _lly_kappa_fn(graph, build_flow_matrix(graph))
-            keys = [edge_key(u, v) for u, v in graph.edges]
             w = cut.vector(graph)
             keep_every = 1 if graph.n_edges <= SAMPLE_EVERY_THRESHOLD else 10
 
@@ -228,21 +250,23 @@ def lly_flow_integrate(g, omega0, t_end, dt, surgery=True):
             record(t, w)
 
     return FlowTrajectory(
-        samples=samples, surgeries=surgeries, graph_snapshots=snapshots
+        kind="lly",
+        graph_snapshots=snapshots,
+        segments=[_segment(s, *r) for s, r in zip(snapshots, rows)],
+        surgeries=surgeries,
     )
 
 
 def normalized_trajectory(traj):
     """Rescale every sample so its weights sum to 1; curvature is unchanged."""
-    samples = []
-    for t, omega, kappa in traj.samples:
-        total = sum(omega.weights.values())
-        scaled = MetricAssignment({k: v / total for k, v in omega.weights.items()})
-        samples.append((t, scaled, kappa))
     return FlowTrajectory(
-        samples=samples,
-        surgeries=list(traj.surgeries),
+        kind=traj.kind,
         graph_snapshots=list(traj.graph_snapshots),
+        segments=[
+            (times, omega / _row_totals(omega)[:, None], kappa)
+            for times, omega, kappa in traj.segments
+        ],
+        surgeries=list(traj.surgeries),
     )
 
 
@@ -252,44 +276,39 @@ def curvature_residual(traj):
     Central differences over consecutive sample triples; needs at least
     three samples and a constant edge set.
     """
-    if len(traj.samples) < 3:
+    if len(traj.times) < 3:
         raise ValueError("need at least 3 samples for a central difference")
     if traj.surgeries:
         raise ValueError("residual is only defined between surgeries")
-    keys = sorted(traj.samples[0][1].weights, key=lambda k: tuple(map(str, k)))
-    times = np.array(traj.times)
-    w = np.array(
-        [[omega.weights[k] for k in keys] for _, omega, _ in traj.samples]
-    )
-    kap = np.array(
-        [[kappa.values[k] for k in keys] for _, _, kappa in traj.samples]
-    )
+    ((times, w, kap),) = traj.segments
     dwdt = (w[2:] - w[:-2]) / (times[2:] - times[:-2])[:, None]
     resid = np.abs(dwdt + kap[1:-1] * w[1:-1])
     return float(np.max(resid))
 
 
 def write_trajectory_csv(traj, graph, path):
-    """CSV export: t,edge_id,omega,omega_normalized,kappa."""
+    """CSV export: t,edge_id,omega,omega_normalized,kappa.
+
+    One row per sample and edge of ``graph`` that the sample's graph still
+    has; omega_normalized divides by the sum over all of the sample's edges.
+    """
     lines = ["t,edge_id,omega,omega_normalized,kappa"]
-    for t, omega, kappa in traj.samples:
-        total = sum(omega.weights.values())
-        for u, v in graph.edges:
-            k = edge_key(u, v)
-            if k not in omega.weights:
-                continue
-            lines.append(
-                ",".join(
-                    [
-                        FLOAT_FMT.format(t),
-                        f"{u}-{v}",
-                        FLOAT_FMT.format(omega.weights[k]),
-                        FLOAT_FMT.format(omega.weights[k] / total),
-                        FLOAT_FMT.format(kappa.values[k]),
-                    ]
-                )
-            )
-    _atomic_write(path, "\n".join(lines) + "\n")
+    for snap, (times, omega, kappa) in zip(traj.graph_snapshots, traj.segments):
+        cols = [
+            (f"{u}-{v}", snap.edge_index[edge_key(u, v)])
+            for u, v in graph.edges
+            if edge_key(u, v) in snap.edge_index
+        ]
+        scaled = omega / _row_totals(omega)[:, None]
+        # rows become Python floats one sample at a time, which formats
+        # faster than numpy scalars and keeps peak memory at one row
+        for t, w_row, n_row, k_row in zip(times.tolist(), omega, scaled, kappa):
+            prefix = FLOAT_FMT.format(t)
+            rows = (w_row.tolist(), n_row.tolist(), k_row.tolist())
+            for edge_id, j in cols:
+                values = [FLOAT_FMT.format(row[j]) for row in rows]
+                lines.append(",".join([prefix, edge_id, *values]))
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def write_surgery_csv(traj, path):
@@ -307,13 +326,11 @@ def write_surgery_csv(traj, path):
                 ]
             )
         )
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _atomic_write(path, text):
-    import os
-    import tempfile
-
+def atomic_write(path, text):
+    """Write text to path through a temporary file and an atomic rename."""
     path = os.fspath(path)
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp_", suffix=".part")

@@ -232,21 +232,13 @@ def build_named_graph(family, n, measure_mode="uniform", m2_values=None):
                 f"normalized_deg1 mode needs exactly {len(edges)} m2 values"
             )
         m2 = {edge_key(u, v): float(a) for (u, v), a in zip(edges, m2_values)}
-        m1 = {
-            x: sum(m2[edge_key(x, y)] for y, _ in _adjacency(vertices, edges)[x])
-            for x in vertices
-        }
+        m1 = dict.fromkeys(vertices, 0.0)
+        for u, v in edges:
+            m1[u] += m2[edge_key(u, v)]
+            m1[v] += m2[edge_key(u, v)]
     else:
         raise GraphError(f"unknown measure mode {measure_mode!r}")
     return MeasuredGraph(vertices, edges, m1, m2)
-
-
-def _adjacency(vertices, edges):
-    adj = {x: [] for x in vertices}
-    for i, (u, v) in enumerate(edges):
-        adj[u].append((v, i))
-        adj[v].append((u, i))
-    return adj
 
 
 def deg_measure(g, x):

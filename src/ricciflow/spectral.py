@@ -60,6 +60,12 @@ class FlowMatrix:
     M: np.ndarray  # diag(sqrt(m2(e_i)))
     Ftilde: np.ndarray
 
+    def bounds(self):
+        """Gerschgorin bracket (lower, upper) for the limiting curvature -lambda_max."""
+        diag = -np.diag(self.Ftilde)  # m2/m1(u) + m2/m1(v) per edge
+        offsum = np.sum(np.abs(self.Ftilde), axis=1) + np.diag(self.Ftilde)
+        return float(np.min(diag - offsum)), float(np.min(diag))
+
 
 @dataclass(frozen=True)
 class SpectralData:
@@ -218,20 +224,17 @@ def flow_coefficients(sd, fm, omega0_vec):
 
 def curvature_bounds(g):
     """Gerschgorin bracket (lower, upper) for the limiting curvature -lambda_max."""
-    fm = build_flow_matrix(g)
-    diag = -np.diag(fm.Ftilde)  # m2/m1(u) + m2/m1(v) per edge
-    offsum = np.sum(np.abs(fm.Ftilde), axis=1) + np.diag(fm.Ftilde)
-    lower = float(np.min(diag - offsum))
-    upper = float(np.min(diag))
-    return lower, upper
+    return build_flow_matrix(g).bounds()
 
 
 def classify_convergence(g, omega0, tol_zero=DEFAULT_TOL_ZERO):
-    """Classify the long-time behavior of the Forman flow from omega0.
+    """Classify the long-time behavior of the Forman flow on g.
 
     vanishing if lambda_max < -tol_zero, constant_metric if
     |lambda_max| <= tol_zero, divergent otherwise.  The limiting
     normalized metric is the Perron direction pulled back through M.
+    The result depends only on the graph and its measures: every positive
+    initial metric has the same limit, so ``omega0`` is not read.
     """
     fm = build_flow_matrix(g)
     sd = eigendecompose(fm)
@@ -251,7 +254,7 @@ def classify_convergence(g, omega0, tol_zero=DEFAULT_TOL_ZERO):
         lambda_max=lam,
         limiting_curvature=-lam,
         limiting_normalized_metric=limiting,
-        bounds=curvature_bounds(g),
+        bounds=fm.bounds(),
     )
 
 

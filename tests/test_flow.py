@@ -277,11 +277,41 @@ class TestCsvExport:
         assert edge_id == "3-0" or edge_id == "0-3"
         assert float(w) >= float(alt) - 1e-9
 
+    def test_surgery_at_start_against_original_graph(self, tmp_path):
+        g = build_named_graph("cycle", 4)
+        w0 = MetricAssignment.from_vector(g, [1.0, 1.0, 1.0, 3.5])
+        traj = lly_flow_integrate(g, w0, 0.3, 1e-2)
+        assert [ev.time for ev in traj.surgeries] == [0.0]
+        # the original graph carries no sample; all sit on the cut graph
+        assert [len(times) for times, _, _ in traj.segments] == [0, 31]
+        removed = "{}-{}".format(*g.edges[3])
+        out = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, g, out)
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert removed not in {edge_id for _, edge_id, _, _, _ in rows}
+        assert len(rows) == len(traj.samples) * 3
+        for (t, omega, _), block in zip(
+            traj.samples, [rows[i : i + 3] for i in range(0, len(rows), 3)]
+        ):
+            total = sum(omega.weights.values())
+            for row_t, edge_id, w, wn, _ in block:
+                u, v = (int(x) for x in edge_id.split("-"))
+                assert float(row_t) == pytest.approx(t)
+                assert float(w) == pytest.approx(omega.weight(u, v), rel=1e-11)
+                assert float(wn) == pytest.approx(
+                    omega.weight(u, v) / total, rel=1e-11
+                )
+
     def test_deterministic_bytes(self, tmp_path):
         g = build_named_graph("cycle", 5)
         w0 = MetricAssignment.from_vector(g, [1.0, 1.1, 0.9, 1.05, 0.95])
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        write_trajectory_csv(lly_flow_integrate(g, w0, 0.05, 1e-2), g, a)
-        write_trajectory_csv(lly_flow_integrate(g, w0, 0.05, 1e-2), g, b)
-        assert a.read_bytes() == b.read_bytes()
+        flows = {
+            "lly": lambda: lly_flow_integrate(g, w0, 0.05, 1e-2),
+            "forman": lambda: forman_flow_exact(g, w0, np.linspace(0.0, 0.5, 51)),
+        }
+        for kind, run in flows.items():
+            a = tmp_path / f"{kind}_a.csv"
+            b = tmp_path / f"{kind}_b.csv"
+            write_trajectory_csv(run(), g, a)
+            write_trajectory_csv(run(), g, b)
+            assert a.read_bytes() == b.read_bytes(), kind
