@@ -75,7 +75,7 @@ class InputError(Exception):
 
 def _fnum(x):
     # round-trip through 12 significant digits for diff-stable output
-    return float(FLOAT_FMT.format(float(x)))
+    return float(FLOAT_FMT % float(x))
 
 
 def _write_json(path, obj):
@@ -161,9 +161,9 @@ def cmd_curvature(args):
             ",".join(
                 [
                     _edge_id(u, v),
-                    FLOAT_FMT.format(forman_edge(g, omega, (u, v))),
-                    FLOAT_FMT.format(lly_edge(g, omega, (u, v))),
-                    FLOAT_FMT.format(lly_limit_estimate(g, omega, (u, v), eps)),
+                    FLOAT_FMT % forman_edge(g, omega, (u, v)),
+                    FLOAT_FMT % lly_edge(g, omega, (u, v)),
+                    FLOAT_FMT % lly_limit_estimate(g, omega, (u, v), eps),
                 ]
             )
         )
@@ -298,7 +298,7 @@ def _reproduce_flow(g, omega0, name, out_dir, t_end=12.0, dt=0.01):
     traj = normalized_trajectory(forman_flow_exact(g, omega0, times))
     csv_path = os.path.join(out_dir, f"reproduce_{name}.csv")
     write_trajectory_csv(traj, g, csv_path)
-    return csv_path, _limit_payload(g, classify_convergence(g, omega0))
+    return csv_path
 
 
 def cmd_reproduce(args):
@@ -308,18 +308,21 @@ def cmd_reproduce(args):
     if fig in FLOW_FIGURES:
         family, n, mode, m2_values = FLOW_FIGURES[fig]
         g = build_named_graph(family, n, mode, m2_values=m2_values)
-        csv_path, summary = _reproduce_flow(g, MetricAssignment.uniform(g), fig, out_dir)
-        written.append(csv_path)
+        omega0 = MetricAssignment.uniform(g)
+        written.append(_reproduce_flow(g, omega0, fig, out_dir))
+        summary = _limit_payload(g, classify_convergence(g, omega0))
     elif fig == "fig2":
         g = figure2_graph()
+        # the long-time limit depends only on the graph: classify it once
+        limit = _limit_payload(
+            g, classify_convergence(g, figure2_initial_metric(g, 0.0))
+        )
         summary = {"deltas": {}}
         for delta in (0.0, 0.01, 0.02, 0.03):
-            label = FLOAT_FMT.format(delta)
+            label = FLOAT_FMT % delta
             omega0 = figure2_initial_metric(g, delta)
-            csv_path, summary["deltas"][label] = _reproduce_flow(
-                g, omega0, f"fig2_delta{label}", out_dir
-            )
-            written.append(csv_path)
+            written.append(_reproduce_flow(g, omega0, f"fig2_delta{label}", out_dir))
+            summary["deltas"][label] = limit
     elif fig in ("ex42", "ex43"):
         family = "path" if fig == "ex42" else "star"
         n = 10

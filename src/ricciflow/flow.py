@@ -22,13 +22,13 @@ from .graph import (
     apply_surgery,
     edge_key,
     is_tree,
-    surgery_scan,
 )
 from .spectral import build_flow_matrix, eigendecompose, flow_coefficients
 
 SAMPLE_EVERY_THRESHOLD = 64  # edges; beyond this keep every 10th step
 MAX_STEP_HALVINGS = 20
-FLOAT_FMT = "{:.12g}"  # 12 significant digits keep output files diff-stable
+FLOAT_FMT = "%.12g"  # 12 significant digits keep output files diff-stable
+CSV_BLOCK_SAMPLES = 256  # samples formatted by one % operation
 
 
 class StepSizeTooLarge(RuntimeError):
@@ -224,9 +224,11 @@ def lly_flow_integrate(g, omega0, t_end, dt, surgery=True):
 
     def maybe_operate(t):
         nonlocal graph, kappa_fn, w, keep_every
-        omega = MetricAssignment.from_vector(graph, w)
-        if surgery_scan(graph, omega):
-            graph, cut, events = apply_surgery(graph, omega, t=t)
+        cut_graph, cut, events = apply_surgery(
+            graph, MetricAssignment.from_vector(graph, w), t=t
+        )
+        if events:
+            graph = cut_graph
             surgeries.extend(events)
             snapshots.append(graph)
             rows.append(([], [], []))
@@ -240,7 +242,8 @@ def lly_flow_integrate(g, omega0, t_end, dt, surgery=True):
     t = 0.0
     step_no = 0
     while t < t_end - 1e-12:
-        if surgery:
+        # the metric at t=0 was scanned just above
+        if surgery and step_no > 0:
             maybe_operate(t)
         h = min(dt, t_end - t)
         w = _advance(kappa_fn, w, h)
@@ -291,24 +294,31 @@ def write_trajectory_csv(traj, graph, path):
 
     One row per sample and edge of ``graph`` that the sample's graph still
     has; omega_normalized divides by the sum over all of the sample's edges.
+    The file is streamed CSV_BLOCK_SAMPLES samples at a time.
     """
-    lines = ["t,edge_id,omega,omega_normalized,kappa"]
+    atomic_write(path, _trajectory_csv_chunks(traj, graph))
+
+
+def _trajectory_csv_chunks(traj, graph):
+    yield "t,edge_id,omega,omega_normalized,kappa\n"
     for snap, (times, omega, kappa) in zip(traj.graph_snapshots, traj.segments):
-        cols = [
-            (f"{u}-{v}", snap.edge_index[edge_key(u, v)])
-            for u, v in graph.edges
-            if edge_key(u, v) in snap.edge_index
-        ]
-        scaled = omega / _row_totals(omega)[:, None]
-        # rows become Python floats one sample at a time, which formats
-        # faster than numpy scalars and keeps peak memory at one row
-        for t, w_row, n_row, k_row in zip(times.tolist(), omega, scaled, kappa):
-            prefix = FLOAT_FMT.format(t)
-            rows = (w_row.tolist(), n_row.tolist(), k_row.tolist())
-            for edge_id, j in cols:
-                values = [FLOAT_FMT.format(row[j]) for row in rows]
-                lines.append(",".join([prefix, edge_id, *values]))
-    atomic_write(path, "\n".join(lines) + "\n")
+        kept = [(u, v) for u, v in graph.edges if edge_key(u, v) in snap.edge_index]
+        cols = [snap.edge_index[edge_key(u, v)] for u, v in kept]
+        # one sample's rows as a single %-template; vertex ids may hold '%'
+        edge_ids = [f"{u}-{v}".replace("%", "%%") for u, v in kept]
+        row = "".join(
+            f"{FLOAT_FMT},{edge_id},{FLOAT_FMT},{FLOAT_FMT},{FLOAT_FMT}\n"
+            for edge_id in edge_ids
+        )
+        for start in range(0, len(times), CSV_BLOCK_SAMPLES):
+            block = slice(start, start + CSV_BLOCK_SAMPLES)
+            t, w = times[block, None], omega[block]
+            scaled = w / _row_totals(w)[:, None]
+            values = np.stack(
+                [np.broadcast_to(t, w.shape), w, scaled, kappa[block]], axis=2
+            )[:, cols]
+            # Python floats format faster than numpy scalars
+            yield (row * len(w)) % tuple(values.ravel().tolist())
 
 
 def write_surgery_csv(traj, path):
@@ -319,24 +329,31 @@ def write_surgery_csv(traj, path):
         lines.append(
             ",".join(
                 [
-                    FLOAT_FMT.format(ev.time),
+                    FLOAT_FMT % ev.time,
                     f"{u}-{v}",
-                    FLOAT_FMT.format(ev.edge_weight),
-                    FLOAT_FMT.format(ev.alternative_distance),
+                    FLOAT_FMT % ev.edge_weight,
+                    FLOAT_FMT % ev.alternative_distance,
                 ]
             )
         )
     atomic_write(path, "\n".join(lines) + "\n")
 
 
-def atomic_write(path, text):
-    """Write text to path through a temporary file and an atomic rename."""
+def atomic_write(path, chunks):
+    """Write to path through a temporary file and an atomic rename.
+
+    ``chunks`` is one string or an iterable of strings, each written as it
+    is produced; on any error the target is left untouched.
+    """
+    if isinstance(chunks, str):
+        chunks = (chunks,)
     path = os.fspath(path)
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp_", suffix=".part")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import ricciflow.graph
 from ricciflow import (
+    MeasuredGraph,
     MetricAssignment,
     StepSizeTooLarge,
     build_named_graph,
@@ -16,6 +18,7 @@ from ricciflow import (
     write_surgery_csv,
     write_trajectory_csv,
 )
+from ricciflow.flow import CSV_BLOCK_SAMPLES, atomic_write
 from conftest import random_metric, random_tree
 
 
@@ -191,6 +194,21 @@ class TestLLYIntegration:
             # without surgery the long edge is degenerate and the LP rejects it
             lly_flow_integrate(g, w0, 0.1, 1e-2, surgery=False)
 
+    def test_one_surgery_scan_per_step(self, monkeypatch):
+        # the scan before the first step would repeat the one at t=0
+        scans = []
+        original = ricciflow.graph.surgery_scan
+
+        def counting(*args, **kwargs):
+            scans.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ricciflow.graph, "surgery_scan", counting)
+        g = build_named_graph("cycle", 5)
+        traj = lly_flow_integrate(g, MetricAssignment.uniform(g), 0.05, 1e-2)
+        assert len(traj.times) == 6
+        assert len(scans) == 5
+
     def test_long_time_tree_normalized_limit(self):
         g = build_named_graph("star", 3)
         w0 = MetricAssignment.from_vector(g, [1.0, 2.0, 3.0])
@@ -315,3 +333,70 @@ class TestCsvExport:
             write_trajectory_csv(run(), g, a)
             write_trajectory_csv(run(), g, b)
             assert a.read_bytes() == b.read_bytes(), kind
+
+
+def reference_trajectory_csv(traj, graph):
+    """Row-by-row CSV with str.format, the layout the block writer must match."""
+    fmt = "{:.12g}".format
+    lines = ["t,edge_id,omega,omega_normalized,kappa"]
+    for snap, (times, omega, kappa) in zip(traj.graph_snapshots, traj.segments):
+        for t, w_row, k_row in zip(times.tolist(), omega.tolist(), kappa.tolist()):
+            total = 0.0
+            for x in w_row:  # running sum in edge order
+                total += x
+            for u, v in graph.edges:
+                j = snap.edge_index.get(edge_key(u, v))
+                if j is not None:
+                    w = w_row[j]
+                    lines.append(
+                        ",".join(
+                            [fmt(t), f"{u}-{v}", fmt(w), fmt(w / total), fmt(k_row[j])]
+                        )
+                    )
+    return "\n".join(lines) + "\n"
+
+
+class TestBlockWriter:
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_normalized_forman_matches_reference(self, tmp_path, blocks):
+        # vertex ids holding '%' must not reach the format template unescaped
+        vertices = ("a%s", "b%%", "c", "d%.3g", *(f"e{i}" for i in range(7)))
+        edges = tuple(zip(vertices, vertices[1:]))
+        g = MeasuredGraph(
+            vertices,
+            edges,
+            {x: 1.0 for x in vertices},
+            {edge_key(u, v): 1.0 + 0.25 * i for i, (u, v) in enumerate(edges)},
+        )
+        w0 = MetricAssignment.from_vector(g, np.linspace(0.3, 2.0, len(edges)))
+        n = blocks * CSV_BLOCK_SAMPLES + 3
+        traj = normalized_trajectory(
+            forman_flow_exact(g, w0, np.linspace(0.0, 2.0, n))
+        )
+        out = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, g, out)
+        assert out.read_text() == reference_trajectory_csv(traj, g)
+
+    def test_lly_surgery_at_start_matches_reference(self, tmp_path):
+        g = build_named_graph("cycle", 4)
+        w0 = MetricAssignment.from_vector(g, [1.0, 1.0, 1.0, 3.5])
+        traj = lly_flow_integrate(g, w0, 0.3, 1e-2)
+        assert [len(times) for times, _, _ in traj.segments] == [0, 31]
+        out = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, g, out)
+        assert out.read_text() == reference_trajectory_csv(traj, g)
+
+    def test_atomic_write_failure_keeps_target(self, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_text("old\n")
+
+        def chunks():
+            yield "new,"
+            raise RuntimeError("failed mid-stream")
+
+        with pytest.raises(RuntimeError):
+            atomic_write(target, chunks())
+        assert target.read_text() == "old\n"
+        assert list(tmp_path.glob(".tmp_*.part")) == []
+        atomic_write(target, "whole string\n")
+        assert target.read_text() == "whole string\n"
