@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -88,9 +89,12 @@ def _edge_id(u, v):
 
 def _parse_floats(text, what):
     try:
-        return [float(p) for p in text.split(",") if p.strip() != ""]
+        vals = [float(p) for p in text.split(",") if p.strip() != ""]
     except ValueError as exc:
         raise InputError(f"bad {what} list: {text!r}") from exc
+    if not all(map(math.isfinite, vals)):
+        raise InputError(f"{what} values must be finite: {text!r}")
+    return vals
 
 
 def _resolve_graph(args):

@@ -5,15 +5,21 @@ program over Lipschitz potentials (``lly_edge``) and a finite-laziness
 transport estimate (``lly_limit_estimate``) built from Wasserstein
 distances between lazy random-walk kernels.  The two agree to solver
 precision for sufficiently lazy kernels, which the tests exploit.
+
+Both routes solve their LPs with ``scipy.optimize.linprog`` (HiGHS).  It is
+imported on first use, so the Forman and spectral commands start on numpy
+alone, and then bound as the module global ``linprog``: ``lly_edge`` and
+``wasserstein`` look that global up at call time, never a local copy, so a
+tracer that replaces module-level bindings of ``linprog`` sees every solve.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .graph import (
     GraphError,
@@ -25,6 +31,20 @@ from .graph import (
 )
 
 KERNEL_MASS_TOL = 1e-12
+
+
+def __getattr__(name):
+    # PEP 562 hook: the first lookup of ``linprog`` imports scipy.optimize
+    # and binds the solver as a module global; later lookups find the global.
+    if name == "linprog":
+        global linprog
+        from scipy.optimize import linprog
+
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+_module = sys.modules[__name__]
 
 
 class EpsilonTooLarge(ValueError):
@@ -213,7 +233,7 @@ def wasserstein(g, omega, mu, nu):
         a_eq[ns + j, j::nd] = 1.0
     b_eq = np.array([mu.masses[a] for a in src] + [nu.masses[b] for b in dst])
 
-    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    res = _module.linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if not res.success:
         raise RuntimeError(f"transport LP failed: {res.message}")
     return float(res.fun)
@@ -268,7 +288,7 @@ def lly_edge(g, omega, e, degeneracy_tol=1e-9):
     bounds[vid[x]] = (0.0, 0.0)  # gauge
     bounds[vid[y]] = (d, d)  # gradient normalization
 
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    res = _module.linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if not res.success:
         raise RuntimeError(f"Lin-Lu-Yau LP failed: {res.message}")
     return float(res.fun)

@@ -11,7 +11,6 @@ as a cross-check.
 from __future__ import annotations
 
 import os
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -343,13 +342,17 @@ def atomic_write(path, chunks):
     """Write to path through a temporary file and an atomic rename.
 
     ``chunks`` is one string or an iterable of strings, each written as it
-    is produced; on any error the target is left untouched.
+    is produced; on any error the target is left untouched.  The file gets
+    the mode a plain ``open(path, "w")`` would give it, 0o666 less the umask.
     """
     if isinstance(chunks, str):
         chunks = (chunks,)
     path = os.fspath(path)
     d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp_", suffix=".part")
+    # O_EXCL makes the random name private to this call; unlike mkstemp's
+    # fixed 0o600, mode 0o666 leaves the final permissions to the umask
+    tmp = os.path.join(d, f".tmp_{os.urandom(8).hex()}.part")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             for chunk in chunks:

@@ -66,11 +66,11 @@ class MeasuredGraph:
                 raise GraphError(f"parallel edge ({u!r}, {v!r})")
             seen.add(k)
         for x in self.vertices:
-            if self.m1.get(x, 0.0) <= 0.0:
-                raise GraphError(f"m1({x!r}) must be positive")
+            if not 0.0 < self.m1.get(x, 0.0) < math.inf:
+                raise GraphError(f"m1({x!r}) must be positive and finite")
         for k in seen:
-            if self.m2.get(k, 0.0) <= 0.0:
-                raise GraphError(f"m2{tuple(k)} must be positive")
+            if not 0.0 < self.m2.get(k, 0.0) < math.inf:
+                raise GraphError(f"m2{tuple(k)} must be positive and finite")
         if not _is_connected(self.vertices, self.edges):
             raise GraphError("graph must be connected")
 
@@ -352,6 +352,16 @@ def line_graph_adjacency(g):
     return b
 
 
+def _parse_finite(token, what, line):
+    try:
+        x = float(token)
+    except ValueError as exc:
+        raise GraphParseError(f"bad {what}: {line!r}") from exc
+    if not math.isfinite(x):
+        raise GraphParseError(f"{what} must be finite: {line!r}")
+    return x
+
+
 def parse_graph_text(text):
     """Parse the line-oriented graph format.
 
@@ -384,22 +394,16 @@ def parse_graph_text(text):
             if len(parts) != 3:
                 raise GraphParseError(f"bad vertex line: {line!r}")
             vid = parts[1]
-            try:
-                m1[vid] = float(parts[2])
-            except ValueError as exc:
-                raise GraphParseError(f"bad vertex measure: {line!r}") from exc
+            m1[vid] = _parse_finite(parts[2], "vertex measure", line)
             vertices.append(vid)
         elif parts[0] == "edge":
             if len(parts) not in (4, 5):
                 raise GraphParseError(f"bad edge line: {line!r}")
             u, v = parts[1], parts[2]
-            try:
-                m2[edge_key(u, v)] = float(parts[3])
-                if len(parts) == 5:
-                    w0[edge_key(u, v)] = float(parts[4])
-                    has_w0 = True
-            except ValueError as exc:
-                raise GraphParseError(f"bad edge values: {line!r}") from exc
+            m2[edge_key(u, v)] = _parse_finite(parts[3], "edge measure", line)
+            if len(parts) == 5:
+                w0[edge_key(u, v)] = _parse_finite(parts[4], "edge omega0", line)
+                has_w0 = True
             edges.append((u, v))
         else:
             raise GraphParseError(f"unexpected line: {line!r}")

@@ -12,6 +12,7 @@ import pathlib
 import scipy.optimize
 
 import ricciflow.curvature
+from ricciflow import MetricAssignment, build_named_graph, kernel
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -32,3 +33,31 @@ def test_every_target_resolves_to_a_callable():
 
 def test_curvature_binds_scipy_linprog_at_module_level():
     assert ricciflow.curvature.linprog is scipy.optimize.linprog
+
+
+def test_lp_solves_look_up_the_module_level_binding(monkeypatch):
+    # linprog is bound on first use, so drop the binding and let each LP
+    # entry point create it; then every solve must go through that name
+    curvature = vars(ricciflow.curvature)
+    g = build_named_graph("cycle", 5)
+    omega = MetricAssignment.uniform(g)
+    mu, nu = kernel(g, 0, 0.1), kernel(g, 1, 0.1)
+    solves = (
+        lambda: ricciflow.curvature.lly_edge(g, omega, (0, 1)),
+        lambda: ricciflow.curvature.wasserstein(g, omega, mu, nu),
+    )
+    for solve in solves:
+        monkeypatch.delitem(curvature, "linprog", raising=False)
+        solve()
+        assert curvature["linprog"] is scipy.optimize.linprog
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return scipy.optimize.linprog(*args, **kwargs)
+
+    monkeypatch.setattr(ricciflow.curvature, "linprog", counting)
+    for n, solve in enumerate(solves, start=1):
+        solve()
+        assert len(calls) == n

@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -260,6 +263,74 @@ class TestInverseCommand:
             ["inverse", "--named", "path:2", "--kappa", "0", "--out", str(tmp_path)]
         )
         assert code == EXIT_INPUT
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["flow", "--named", "path:2", "--omega0", "nan,1"],
+            ["flow", "--named", "path:2", "--omega0", "1,inf"],
+            ["flow", "--named", "cycle:4", "--kind", "lly", "--omega0", "nan,1,1,1"],
+            ["classify", "--named", "path:3", "--measure", "normalized", "--m2", "nan,1,1"],
+            ["spectrum", "--named", "star:3", "--measure", "normalized", "--m2", "1,inf,1"],
+            ["inverse", "--named", "star:3", "--kappa", "nan,0,0"],
+            ["inverse", "--named", "star:3", "--kappa", "0,-inf,0"],
+        ],
+    )
+    def test_option_values_are_input_errors(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == EXIT_INPUT
+        assert "finite" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize(
+        "vertex_a, edge", [("vertex a nan", "edge a b 1"), ("vertex a 1", "edge a b inf")]
+    )
+    def test_graph_file_values_are_input_errors(self, tmp_path, vertex_a, edge):
+        graph = tmp_path / "bad.graph"
+        graph.write_text(f"graph 2 1\n{vertex_a}\nvertex b 1\n{edge}\n")
+        out = tmp_path / "out"
+        assert main(["classify", "--input", str(graph), "--out", str(out)]) == EXIT_INPUT
+        assert os.listdir(out) == []
+
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+# commands that need no LP, so they must run without importing scipy
+NUMPY_ONLY_COMMANDS = [
+    ["spectrum", "--named", "star:6"],
+    ["classify", "--named", "path:5"],
+    ["inverse", "--named", "star:3", "--kappa", "0,0,0"],
+    ["reproduce", "--figure", "fig1a"],
+    ["flow", "--named", "path:3", "--kind", "forman"],
+]
+COLD_START = """
+import sys
+from ricciflow.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+out = sys.argv[1]
+for argv in %r:
+    assert main(argv + ["--out", out]) == 0, argv
+    assert scipy_modules() == [], (argv, scipy_modules())
+assert main(["curvature", "--named", "cycle:5", "--out", out]) == 0
+assert "scipy.optimize" in sys.modules, scipy_modules()
+"""
+
+
+def test_cold_start_imports_scipy_only_for_lps(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START % NUMPY_ONLY_COMMANDS, str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "curvature_cycle5.csv").exists()
 
 
 class TestReproduce:

@@ -1,4 +1,6 @@
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -400,3 +402,15 @@ class TestBlockWriter:
         assert list(tmp_path.glob(".tmp_*.part")) == []
         atomic_write(target, "whole string\n")
         assert target.read_text() == "whole string\n"
+
+    @pytest.mark.parametrize(
+        "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"]
+    )
+    def test_atomic_write_honours_umask(self, tmp_path, umask, mode):
+        target = tmp_path / "out.csv"
+        old = os.umask(umask)
+        try:
+            atomic_write(target, "x\n")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(target.stat().st_mode) == mode

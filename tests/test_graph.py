@@ -103,6 +103,15 @@ class TestConstruction:
         with pytest.raises(GraphError):
             MetricAssignment({edge_key(0, 1): 0.0})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_measures(self, bad):
+        with pytest.raises(GraphError, match="finite"):
+            MeasuredGraph((0, 1), ((0, 1),), {0: bad, 1: 1.0}, {edge_key(0, 1): 1.0})
+        with pytest.raises(GraphError, match="finite"):
+            MeasuredGraph((0, 1), ((0, 1),), {0: 1.0, 1: 1.0}, {edge_key(0, 1): bad})
+        with pytest.raises(GraphError, match="finite"):
+            build_named_graph("star", 3, "normalized_deg1", m2_values=[1.0, bad, 1.0])
+
 
 class TestDegMeasure:
     def test_uniform_p3_interior(self):
@@ -296,3 +305,19 @@ edge b c 3.0 0.25
     def test_count_mismatch(self):
         with pytest.raises(GraphParseError):
             parse_graph_text("graph 3 1\nvertex a 1\nvertex b 1\nedge a b 1\n")
+
+    @pytest.mark.parametrize(
+        "vertex_a, edge",
+        [
+            ("vertex a nan", "edge a b 1"),
+            ("vertex a inf", "edge a b 1"),
+            ("vertex a 1", "edge a b inf"),
+            ("vertex a 1", "edge a b nan 1"),
+            ("vertex a 1", "edge a b 1 nan"),
+            ("vertex a 1", "edge a b 1 -inf"),
+        ],
+    )
+    def test_rejects_nonfinite_values(self, vertex_a, edge):
+        text = f"graph 2 1\n{vertex_a}\nvertex b 1\n{edge}\n"
+        with pytest.raises(GraphParseError, match="finite"):
+            parse_graph_text(text)
