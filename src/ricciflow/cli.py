@@ -22,8 +22,8 @@ from .curvature import (
     EpsilonTooLarge,
     default_epsilon,
     forman_edge,
-    lly_edge,
     lly_limit_estimate,
+    lly_vector,
 )
 from .flow import (
     FLOAT_FMT,
@@ -43,7 +43,6 @@ from .graph import (
     edge_key,
     is_tree,
     load_graph,
-    surgery_scan,
 )
 from .spectral import (
     ConvergenceFailure,
@@ -87,14 +86,19 @@ def _edge_id(u, v):
     return f"{u}-{v}"
 
 
-def _parse_floats(text, what):
+def _finite_float(value, what):
+    """float(value); a non-number, nan or +-inf is an input error."""
     try:
-        vals = [float(p) for p in text.split(",") if p.strip() != ""]
+        x = float(value)
     except ValueError as exc:
-        raise InputError(f"bad {what} list: {text!r}") from exc
-    if not all(map(math.isfinite, vals)):
-        raise InputError(f"{what} values must be finite: {text!r}")
-    return vals
+        raise InputError(f"bad {what} value: {value!r}") from exc
+    if not math.isfinite(x):
+        raise InputError(f"{what} must be finite, got {value!r}")
+    return x
+
+
+def _parse_floats(text, what):
+    return [_finite_float(p, what) for p in text.split(",") if p.strip() != ""]
 
 
 def _resolve_graph(args):
@@ -140,37 +144,23 @@ def _resolve_graph(args):
 
 
 def _tol_zero(args):
-    env = os.environ.get("RICCI_TOL_ZERO")
     if args.tol_zero is not None:
-        return args.tol_zero
-    if env is not None:
-        try:
-            return float(env)
-        except ValueError as exc:
-            raise InputError(f"bad RICCI_TOL_ZERO value {env!r}") from exc
-    return DEFAULT_TOL_ZERO
+        return _finite_float(args.tol_zero, "--tol-zero")
+    env = os.environ.get("RICCI_TOL_ZERO")
+    return DEFAULT_TOL_ZERO if env is None else _finite_float(env, "RICCI_TOL_ZERO")
 
 
 def cmd_curvature(args):
     g, omega, name = _resolve_graph(args)
-    bad = surgery_scan(g, omega)
-    if bad:
-        raise DegenerateMetric(
-            f"metric is degenerate on edges {[_edge_id(*e) for e in bad]}"
-        )
-    eps = args.epsilon if args.epsilon is not None else default_epsilon(g)
+    eps = default_epsilon(g)
+    if args.epsilon is not None:
+        eps = _finite_float(args.epsilon, "--epsilon")
+    lly = lly_vector(g, omega).values
     lines = ["edge,forman,lly,lly_limit_estimate"]
-    for u, v in g.edges:
-        lines.append(
-            ",".join(
-                [
-                    _edge_id(u, v),
-                    FLOAT_FMT % forman_edge(g, omega, (u, v)),
-                    FLOAT_FMT % lly_edge(g, omega, (u, v)),
-                    FLOAT_FMT % lly_limit_estimate(g, omega, (u, v), eps),
-                ]
-            )
-        )
+    for e in g.edges:
+        row = [forman_edge(g, omega, e), lly[edge_key(*e)]]
+        row.append(lly_limit_estimate(g, omega, e, eps))
+        lines.append(",".join([_edge_id(*e)] + [FLOAT_FMT % x for x in row]))
     out = os.path.join(args.out, f"curvature_{name}.csv")
     atomic_write(out, "\n".join(lines) + "\n")
     print(out)
@@ -237,18 +227,18 @@ def cmd_classify(args):
 
 def cmd_flow(args):
     g, omega0, name = _resolve_graph(args)
-    if args.t_end < 0:
+    t_end = _finite_float(args.t_end, "--t-end")
+    dt = _finite_float(args.dt, "--dt")
+    if t_end < 0:
         raise InputError("--t-end must be nonnegative")
-    if args.dt <= 0:
+    if dt <= 0:
         raise InputError("--dt must be positive")
     if args.kind == "forman":
-        steps = max(1, int(round(args.t_end / args.dt)))
-        times = [i * args.t_end / steps for i in range(steps + 1)]
+        steps = max(1, int(round(t_end / dt)))
+        times = [i * t_end / steps for i in range(steps + 1)]
         traj = forman_flow_exact(g, omega0, times)
     else:
-        traj = lly_flow_integrate(
-            g, omega0, args.t_end, args.dt, surgery=args.surgery
-        )
+        traj = lly_flow_integrate(g, omega0, t_end, dt, surgery=args.surgery)
     out = os.path.join(args.out, f"flow_{name}.csv")
     write_trajectory_csv(traj, traj.final_graph(), out)
     print(out)
@@ -265,7 +255,7 @@ def cmd_inverse(args):
     if len(vals) != g.n_edges:
         raise InputError(f"--kappa needs {g.n_edges} values, got {len(vals)}")
     kappa = {edge_key(u, v): vals[i] for i, (u, v) in enumerate(g.edges)}
-    result = inverse_curvature(g, kappa, tol=args.tol)
+    result = inverse_curvature(g, kappa, tol=_finite_float(args.tol, "--tol"))
     payload = {"lambda_max_K": _fnum(result.lambda_max)}
     if result.metric is None:
         payload["solvable"] = False

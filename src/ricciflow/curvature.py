@@ -8,8 +8,8 @@ precision for sufficiently lazy kernels, which the tests exploit.
 
 Both routes solve their LPs with ``scipy.optimize.linprog`` (HiGHS).  It is
 imported on first use, so the Forman and spectral commands start on numpy
-alone, and then bound as the module global ``linprog``: ``lly_edge`` and
-``wasserstein`` look that global up at call time, never a local copy, so a
+alone, and then bound as the module global ``linprog``: the Lin-Lu-Yau LP
+and ``wasserstein`` look that global up at call time, never a local copy, so a
 tracer that replaces module-level bindings of ``linprog`` sees every solve.
 """
 
@@ -26,8 +26,10 @@ from .graph import (
     MeasuredGraph,
     MetricAssignment,
     deg_measure,
+    distance_matrix,
     edge_key,
     shortest_distance,
+    surgery_scan,
 )
 
 KERNEL_MASS_TOL = 1e-12
@@ -220,12 +222,9 @@ def wasserstein(g, omega, mu, nu):
     src = [a for a, m in mu.masses.items() if m > 0.0]
     dst = [b for b, m in nu.masses.items() if m > 0.0]
     ns, nd = len(src), len(dst)
-    dist = np.zeros((ns, nd))
-    for i, a in enumerate(src):
-        for j, b in enumerate(dst):
-            dist[i, j] = shortest_distance(g, omega, a, b)
-
-    c = dist.reshape(-1)
+    vid = g.vertex_index
+    d = distance_matrix(g, omega)
+    c = d[np.ix_([vid[a] for a in src], [vid[b] for b in dst])].reshape(-1)
     a_eq = np.zeros((ns + nd, ns * nd))
     for i in range(ns):
         a_eq[i, i * nd : (i + 1) * nd] = 1.0
@@ -239,28 +238,14 @@ def wasserstein(g, omega, mu, nu):
     return float(res.fun)
 
 
-def lly_edge(g, omega, e, degeneracy_tol=1e-9):
-    """Exact Lin-Lu-Yau curvature of the edge e via the limit-free LP.
-
-    Minimizes (Lap f(x) - Lap f(y)) / d over potentials f with
-    f(y) - f(x) = d and |f(a) - f(b)| <= omega(a, b) on every edge, after
-    gauge-fixing f(x) = 0.  Edge-wise Lipschitz bounds are equivalent to
-    1-Lipschitz for the path metric, which keeps the LP small.
-    """
-    x, y = e
-    k = edge_key(x, y)
-    if k not in g.m2:
-        raise GraphError(f"({x!r}, {y!r}) is not an edge")
-    w_e = omega.weights[k]
-    alt = shortest_distance(g, omega, x, y, excluded_edge=(x, y))
-    if w_e >= alt - degeneracy_tol:
-        raise DegenerateMetric(
-            f"edge ({x!r}, {y!r}) is not the strict shortest path "
-            f"(omega={w_e}, alternative={alt})"
-        )
-    d = w_e
-
-    vid = {v: i for i, v in enumerate(g.vertices)}
+def _lly_lp(g, omega, x, y):
+    # Curvature of the strict edge (x, y), whose distance d is omega(x, y):
+    # minimizes (Lap f(x) - Lap f(y)) / d over potentials f with
+    # f(y) - f(x) = d and |f(a) - f(b)| <= omega(a, b) on every edge, after
+    # gauge-fixing f(x) = 0.  Edge-wise Lipschitz bounds are equivalent to
+    # 1-Lipschitz for the path metric, which keeps the LP small.
+    d = omega.weights[edge_key(x, y)]
+    vid = g.vertex_index
     nv = len(vid)
 
     # objective: (Lap f(x) - Lap f(y)) / d, linear in f
@@ -294,10 +279,33 @@ def lly_edge(g, omega, e, degeneracy_tol=1e-9):
     return float(res.fun)
 
 
+def lly_edge(g, omega, e):
+    """Exact Lin-Lu-Yau curvature of the edge e via the limit-free LP.
+
+    The edge must be strict, omega(e) < d_alt - SURGERY_TOL with d_alt the
+    shortest path avoiding e, as ``surgery_scan`` decides; otherwise
+    DegenerateMetric is raised.  Other degenerate edges do not matter.
+    """
+    x, y = e
+    k = edge_key(x, y)
+    if k not in g.m2:
+        raise GraphError(f"({x!r}, {y!r}) is not an edge")
+    if k in {edge_key(*b) for b in surgery_scan(g, omega)}:
+        raise DegenerateMetric(f"edge ({x!r}, {y!r}) is not the strict shortest path")
+    return _lly_lp(g, omega, x, y)
+
+
 def lly_vector(g, omega):
-    """Lin-Lu-Yau curvature of every edge (one LP per edge)."""
+    """Lin-Lu-Yau curvature of every edge (one LP per edge).
+
+    One ``surgery_scan`` checks every edge first; DegenerateMetric names
+    each edge that is not strict.
+    """
+    bad = [f"{u}-{v}" for u, v in surgery_scan(g, omega)]
+    if bad:
+        raise DegenerateMetric(f"metric is degenerate on edges {bad}")
     return CurvatureVector(
-        {edge_key(u, v): lly_edge(g, omega, (u, v)) for u, v in g.edges},
+        {edge_key(u, v): _lly_lp(g, omega, u, v) for u, v in g.edges},
         kind="lly",
     )
 

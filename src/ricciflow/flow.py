@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import CurvatureVector, lly_edge
+from .curvature import CurvatureVector, lly_vector
 from .graph import (
     MetricAssignment,
     apply_surgery,
@@ -138,12 +138,9 @@ def _lly_kappa_fn(g, fm):
     # so stage evaluations reduce to a matrix product.
     if is_tree(g):
         return lambda w_vec: _forman_kappa_vec(fm.F, w_vec)
-
-    def kappa(w_vec):
-        omega = MetricAssignment.from_vector(g, w_vec)
-        return np.array([lly_edge(g, omega, e) for e in g.edges])
-
-    return kappa
+    return lambda w_vec: lly_vector(
+        g, MetricAssignment.from_vector(g, w_vec)
+    ).vector(g)
 
 
 def _rk4_step(kappa_fn, w, h):

@@ -3,15 +3,19 @@
 A measured graph carries a positive vertex measure m1 and a positive,
 symmetric edge measure m2.  The evolving quantity is a separate metric
 (edge weight) assignment omega; distances between vertices are shortest
-omega-weighted path lengths.
+omega-weighted path lengths, all read from one matrix (``distance_matrix``).
+An edge e = (x, y) is strict while omega(e) < d_alt - SURGERY_TOL, with
+d_alt the shortest x-y path avoiding e; ``surgery_scan`` is the one test of
+that rule, for surgery and for the Lin-Lu-Yau curvature alike.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 SURGERY_TOL = 1e-9
 
@@ -83,6 +87,11 @@ class MeasuredGraph:
         return len(self.edges)
 
     @cached_property
+    def vertex_index(self):
+        """Map vertex -> position in the vertex ordering."""
+        return {x: i for i, x in enumerate(self.vertices)}
+
+    @cached_property
     def edge_index(self):
         """Map edge_key -> position in the edge ordering."""
         return {edge_key(u, v): i for i, (u, v) in enumerate(self.edges)}
@@ -150,8 +159,6 @@ class MetricAssignment:
         return self.weights[edge_key(u, v)]
 
     def vector(self, g):
-        import numpy as np
-
         return np.array([self.weights[edge_key(u, v)] for u, v in g.edges])
 
     def restricted_to(self, g):
@@ -247,36 +254,31 @@ def deg_measure(g, x):
     return sum(g.m2_of(x, y) for y, _ in g.adjacency[x]) / g.m1[x]
 
 
-def shortest_distance(g, omega, u, v, excluded_edge=None):
-    """Shortest omega-weighted path length; math.inf if unreachable.
+def distance_matrix(g, omega, excluded_edge=None):
+    """All-pairs shortest omega-path lengths (Floyd-Warshall).
 
-    ``excluded_edge`` removes one edge from consideration, used for the
-    surgery check (the best alternative route between the edge endpoints).
+    Rows and columns follow ``g.vertices``; unreachable pairs are math.inf.
+    ``excluded_edge`` removes one edge from consideration.
     """
+    vid = g.vertex_index
+    skip = edge_key(*excluded_edge) if excluded_edge is not None else None
+    d = np.full((g.n_vertices, g.n_vertices), math.inf)
+    np.fill_diagonal(d, 0.0)
+    for u, v in g.edges:
+        k = edge_key(u, v)
+        if k != skip:
+            d[vid[u], vid[v]] = d[vid[v], vid[u]] = omega.weights[k]
+    for z in range(g.n_vertices):
+        np.minimum(d, d[:, z, None] + d[None, z, :], out=d)
+    return d
+
+
+def shortest_distance(g, omega, u, v, excluded_edge=None):
+    """One entry of ``distance_matrix``; math.inf if unreachable."""
     g.check_vertex(u)
     g.check_vertex(v)
-    if u == v:
-        return 0.0
-    skip = edge_key(*excluded_edge) if excluded_edge is not None else None
-    dist = {u: 0.0}
-    heap = [(0.0, 0, u)]
-    tie = 1
-    while heap:
-        d, _, x = heapq.heappop(heap)
-        if x == v:
-            return d
-        if d > dist.get(x, math.inf):
-            continue
-        for y, _ in g.adjacency[x]:
-            k = edge_key(x, y)
-            if k == skip:
-                continue
-            nd = d + omega.weights[k]
-            if nd < dist.get(y, math.inf):
-                dist[y] = nd
-                heapq.heappush(heap, (nd, tie, y))
-                tie += 1
-    return math.inf
+    vid = g.vertex_index
+    return float(distance_matrix(g, omega, excluded_edge)[vid[u], vid[v]])
 
 
 def is_tree(g):
@@ -284,25 +286,28 @@ def is_tree(g):
     return g.n_edges == g.n_vertices - 1
 
 
-def surgery_scan(g, omega, tol=SURGERY_TOL):
+def surgery_scan(g, omega):
     """Edges that are no longer the strict unique shortest path.
 
-    Returns every edge (x, y) with omega(e) >= d_alt - tol, where d_alt is
-    the shortest path between x and y avoiding e.  Trees never have an
-    alternative path, so the scan is empty by construction.
+    Returns every edge e = (x, y) with omega(e) >= d_alt - SURGERY_TOL, the
+    detour d_alt read off one distance matrix D of the whole graph as
+    min over z ~ x, z != y of omega(xz) + D(z, y).  A term whose D(z, y)
+    runs back through e is at least omega(e) + 2 min omega, so while
+    min omega > SURGERY_TOL / 2 the result equals the one for the exact
+    shortest path avoiding e.  Trees have no detour: their scan is empty.
     """
     if is_tree(g):
         return []
+    w, d, vid = omega.vector(g), distance_matrix(g, omega), g.vertex_index
     bad = []
-    for u, v in g.edges:
-        w = omega.weights[edge_key(u, v)]
-        alt = shortest_distance(g, omega, u, v, excluded_edge=(u, v))
-        if w >= alt - tol:
+    for i, (u, v) in enumerate(g.edges):
+        detours = [w[j] + d[vid[z], vid[v]] for z, j in g.adjacency[u] if z != v]
+        if w[i] >= min(detours, default=math.inf) - SURGERY_TOL:
             bad.append((u, v))
     return bad
 
 
-def apply_surgery(g, omega, t=0.0, tol=SURGERY_TOL):
+def apply_surgery(g, omega, t=0.0):
     """Remove degenerate edges one at a time until the metric is clean.
 
     Edges are removed in ascending edge-index order with a full re-scan
@@ -311,7 +316,7 @@ def apply_surgery(g, omega, t=0.0, tol=SURGERY_TOL):
     """
     events = []
     while True:
-        bad = surgery_scan(g, omega, tol=tol)
+        bad = surgery_scan(g, omega)
         if not bad:
             break
         u, v = bad[0]
@@ -339,8 +344,6 @@ def line_graph_adjacency(g):
 
     B[i, j] = 1 iff edges e_i != e_j share a vertex.
     """
-    import numpy as np
-
     n = g.n_edges
     b = np.zeros((n, n))
     for x in g.vertices:

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 
@@ -281,6 +282,38 @@ class TestNonFiniteInput:
     def test_option_values_are_input_errors(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == EXIT_INPUT
+        assert "finite" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize(
+        "argv, env",
+        [
+            (["flow", "--named", "path:2", "--t-end", "nan"], {}),
+            (["flow", "--named", "path:2", "--dt", "nan"], {}),
+            (["flow", "--named", "path:2", "--t-end", "inf"], {}),
+            (["flow", "--named", "cycle:4", "--kind", "lly", "--t-end", "inf", "--dt", "0.5"], {}),
+            (["curvature", "--named", "cycle:4", "--epsilon", "nan"], {}),
+            (["classify", "--named", "path:3", "--tol-zero", "nan"], {}),
+            (["classify", "--named", "path:3"], {"RICCI_TOL_ZERO": "nan"}),
+            (["inverse", "--named", "star:3", "--kappa", "1,1,1", "--tol", "nan"], {}),
+        ],
+    )
+    def test_float_options_are_input_errors(self, tmp_path, capsys, monkeypatch, argv, env):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+
+        def hung(signum, frame):
+            pytest.fail(f"{argv} did not return within 10 s")
+
+        out = tmp_path / "out"
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(10)
+        try:
+            code = main(argv + ["--out", str(out)])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == EXIT_INPUT
         assert "finite" in capsys.readouterr().err
         assert os.listdir(out) == []
 

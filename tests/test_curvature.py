@@ -20,6 +20,7 @@ from ricciflow import (
     laplacian_apply,
     lly_edge,
     lly_limit_estimate,
+    lly_vector,
     wasserstein,
 )
 from conftest import random_connected_graph, random_metric, random_tree
@@ -187,6 +188,16 @@ class TestLLY:
         w = MetricAssignment.from_vector(g, [1.0, 1.0, 2.0])
         with pytest.raises(DegenerateMetric):
             lly_edge(g, w, g.edges[2])
+
+    def test_vector_names_degenerate_edges(self):
+        g = build_named_graph("cycle", 3)
+        w = MetricAssignment.from_vector(g, [1.0, 1.0, 2.0])
+        with pytest.raises(DegenerateMetric, match=r"edges \['2-0'\]$"):
+            lly_vector(g, w)
+        with pytest.raises(DegenerateMetric):
+            lly_edge(g, w, (0, 2))
+        # only the edge's own strictness matters to lly_edge
+        assert math.isfinite(lly_edge(g, w, g.edges[0]))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_scaling_invariance(self, seed):

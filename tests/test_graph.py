@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ricciflow import (
     DisconnectedAfterSurgery,
@@ -20,6 +22,7 @@ from ricciflow import (
     shortest_distance,
     surgery_scan,
 )
+from ricciflow.graph import SURGERY_TOL
 from conftest import random_connected_graph, random_metric, random_tree
 
 
@@ -155,11 +158,14 @@ class TestShortestDistance:
         rng = np.random.default_rng(seed)
         g = random_connected_graph(rng, 7, 3)
         w = random_metric(rng, g)
-        for u in g.vertices:
-            for v in g.vertices:
-                assert shortest_distance(g, w, u, v) == pytest.approx(
-                    brute_force_distance(g, w, u, v)
-                )
+        for excluded in [None, *g.edges]:
+            for u in g.vertices:
+                for v in g.vertices:
+                    assert shortest_distance(
+                        g, w, u, v, excluded_edge=excluded
+                    ) == pytest.approx(
+                        brute_force_distance(g, w, u, v, excluded_edge=excluded)
+                    )
 
     @pytest.mark.parametrize("seed", range(5))
     def test_metric_axioms(self, seed):
@@ -178,7 +184,60 @@ class TestShortestDistance:
             assert d[u, u] == 0.0
 
 
+def scan_oracle(g, w):
+    """Edges e with w(e) >= (shortest path avoiding e) - SURGERY_TOL, by enumeration."""
+    return [
+        e
+        for e in g.edges
+        if w.weight(*e) >= brute_force_distance(g, w, *e, excluded_edge=e) - SURGERY_TOL
+    ]
+
+
+# weights in [0.2, 5]; the grid values make exact ties between paths likely
+WEIGHTS = st.one_of(st.floats(0.2, 5.0), st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]))
+
+
+@st.composite
+def weighted_graphs(draw):
+    """Random tree on up to 8 vertices plus random chords, with weights."""
+    n = draw(st.integers(2, 8))
+    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    chords = [(i, j) for j in range(n) for i in range(j) if (i, j) not in edges]
+    if chords:
+        edges += draw(st.lists(st.sampled_from(chords), unique=True, max_size=10))
+    g = MeasuredGraph(
+        tuple(range(n)),
+        tuple(edges),
+        dict.fromkeys(range(n), 1.0),
+        {edge_key(u, v): 1.0 for u, v in edges},
+    )
+    w = draw(st.lists(WEIGHTS, min_size=len(edges), max_size=len(edges)))
+    return g, MetricAssignment.from_vector(g, w)
+
+
 class TestSurgery:
+    @settings(max_examples=80, deadline=None)
+    @given(weighted_graphs())
+    def test_scan_matches_exact_detours(self, case):
+        g, w = case
+        assert surgery_scan(g, w) == scan_oracle(g, w)
+
+    @pytest.mark.parametrize(
+        "n, weights, n_bad",
+        [
+            (4, [1.0, 1.0, 1.0, 3.0], 1),
+            (6, [1.0] * 6, 0),
+            (3, [1.0, 1.0, 2.0], 1),
+            (4, [1.0, 1.0, 1.0, 3.0 - 0.5 * SURGERY_TOL], 1),
+            (4, [1.0, 1.0, 1.0, 3.0 - 2.0 * SURGERY_TOL], 0),
+        ],
+    )
+    def test_scan_matches_exact_detours_at_ties(self, n, weights, n_bad):
+        g = build_named_graph("cycle", n)
+        w = MetricAssignment.from_vector(g, weights)
+        assert surgery_scan(g, w) == scan_oracle(g, w)
+        assert len(surgery_scan(g, w)) == n_bad
+
     def test_triangle_violation(self):
         g = build_named_graph("cycle", 3)
         w = MetricAssignment.from_vector(g, [1.0, 1.0, 2.0])
