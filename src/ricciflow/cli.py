@@ -21,7 +21,7 @@ from .curvature import (
     DegenerateMetric,
     EpsilonTooLarge,
     default_epsilon,
-    forman_edge,
+    forman_vector,
     lly_limit_estimate,
     lly_vector,
 )
@@ -57,6 +57,7 @@ from .spectral import (
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
+MAX_FLOW_STEPS = 10**6  # bound on --t-end / --dt
 
 FIGURE2_EDGES = ((1, 5), (2, 5), (3, 4), (4, 5), (5, 6), (6, 7), (6, 8))
 # figure id -> (family, n, measure mode, m2 values) of a uniform-start flow
@@ -155,11 +156,12 @@ def cmd_curvature(args):
     eps = default_epsilon(g)
     if args.epsilon is not None:
         eps = _finite_float(args.epsilon, "--epsilon")
+    forman = forman_vector(g, omega).values
     lly = lly_vector(g, omega).values
     lines = ["edge,forman,lly,lly_limit_estimate"]
     for e in g.edges:
-        row = [forman_edge(g, omega, e), lly[edge_key(*e)]]
-        row.append(lly_limit_estimate(g, omega, e, eps))
+        k = edge_key(*e)
+        row = [forman[k], lly[k], lly_limit_estimate(g, omega, e, eps)]
         lines.append(",".join([_edge_id(*e)] + [FLOAT_FMT % x for x in row]))
     out = os.path.join(args.out, f"curvature_{name}.csv")
     atomic_write(out, "\n".join(lines) + "\n")
@@ -233,6 +235,8 @@ def cmd_flow(args):
         raise InputError("--t-end must be nonnegative")
     if dt <= 0:
         raise InputError("--dt must be positive")
+    if t_end / dt > MAX_FLOW_STEPS:
+        raise InputError(f"--t-end / --dt must be at most {MAX_FLOW_STEPS} steps")
     if args.kind == "forman":
         steps = max(1, int(round(t_end / dt)))
         times = [i * t_end / steps for i in range(steps + 1)]
@@ -400,12 +404,12 @@ def main(argv=None):
         if hasattr(args, "out"):
             os.makedirs(args.out, exist_ok=True)
         return args.func(args)
-    except (InputError, GraphError) as exc:
+    except (InputError, GraphError, EpsilonTooLarge) as exc:
+        # EpsilonTooLarge comes only from --epsilon: default_epsilon is valid
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (
         DegenerateMetric,
-        EpsilonTooLarge,
         ConvergenceFailure,
         StepSizeTooLarge,
         RuntimeError,

@@ -1,5 +1,8 @@
 """Edge curvatures: weighted Forman (graph and cell-complex forms) and Lin-Lu-Yau.
 
+Graph Forman curvature is one formula, ``forman_kappa``: the curvature
+table, the Forman flow and the Lin-Lu-Yau flow on trees all read it.
+
 Lin-Lu-Yau curvature comes in two independent routes: an exact linear
 program over Lipschitz potentials (``lly_edge``) and a finite-laziness
 transport estimate (``lly_limit_estimate``) built from Wasserstein
@@ -31,6 +34,7 @@ from .graph import (
     shortest_distance,
     surgery_scan,
 )
+from .spectral import build_flow_matrix
 
 KERNEL_MASS_TOL = 1e-12
 
@@ -135,29 +139,22 @@ def laplacian_apply(g, f, x):
     ) / g.m1[x]
 
 
+def forman_kappa(f, w):
+    """kappa = -(F w) / w with F the Forman flow generator; an exact zero is +0."""
+    return (f @ -w) / w
+
+
 def forman_edge(g, omega, e):
     """Weighted Forman curvature of the edge e = (u, v), face-free form."""
-    u, v = e
-    k = edge_key(u, v)
-    if k not in g.m2:
-        raise GraphError(f"({u!r}, {v!r}) is not an edge")
-    w_e = omega.weights[k]
-    val = g.m2[k] / g.m1[u] + g.m2[k] / g.m1[v]
-    for x in (u, v):
-        for y, _ in g.adjacency[x]:
-            ku = edge_key(x, y)
-            if ku == k:
-                continue
-            val -= (g.m2[ku] / g.m1[x]) * (omega.weights[ku] / w_e)
-    return val
+    g.m2_of(*e)  # GraphError unless e is an edge
+    return forman_vector(g, omega).values[edge_key(*e)]
 
 
 def forman_vector(g, omega):
-    """Forman curvature of every edge."""
-    return CurvatureVector(
-        {edge_key(u, v): forman_edge(g, omega, (u, v)) for u, v in g.edges},
-        kind="forman",
-    )
+    """Forman curvature of every edge, from one flow matrix."""
+    kappa = forman_kappa(build_flow_matrix(g).F, omega.vector(g))
+    keys = [edge_key(u, v) for u, v in g.edges]
+    return CurvatureVector(dict(zip(keys, kappa.tolist())), kind="forman")
 
 
 def forman_cell_edge(complex_, omega, e):
@@ -172,10 +169,8 @@ def forman_cell_edge(complex_, omega, e):
         return forman_edge(g, omega, e)
     u, v = e
     k = edge_key(u, v)
-    if k not in g.m2:
-        raise GraphError(f"({u!r}, {v!r}) is not an edge")
+    m2e = g.m2_of(u, v)
     w_e = omega.weights[k]
-    m2e = g.m2[k]
 
     faces_e = 0.0
     cells_with_e = []
@@ -238,13 +233,24 @@ def wasserstein(g, omega, mu, nu):
     return float(res.fun)
 
 
-def _lly_lp(g, omega, x, y):
+def _lipschitz_rows(g, w):
+    # (A_ub, b_ub) of |f(a) - f(b)| <= w(ab) for every edge ab, as the rows
+    # f(a) - f(b) <= w and f(b) - f(a) <= w interleaved in edge order
+    ne, nv = g.n_edges, g.n_vertices
+    a, b = g.ends.T
+    rows = np.arange(ne)
+    a_ub = np.zeros((ne, 2, nv))
+    a_ub[rows, 0, a] = a_ub[rows, 1, b] = 1.0
+    a_ub[rows, 0, b] = a_ub[rows, 1, a] = -1.0
+    return a_ub.reshape(2 * ne, nv), np.repeat(w, 2)
+
+
+def _lly_lp(g, a_ub, b_ub, x, y, d):
     # Curvature of the strict edge (x, y), whose distance d is omega(x, y):
     # minimizes (Lap f(x) - Lap f(y)) / d over potentials f with
-    # f(y) - f(x) = d and |f(a) - f(b)| <= omega(a, b) on every edge, after
+    # f(y) - f(x) = d and the metric's Lipschitz rows a_ub f <= b_ub, after
     # gauge-fixing f(x) = 0.  Edge-wise Lipschitz bounds are equivalent to
     # 1-Lipschitz for the path metric, which keeps the LP small.
-    d = omega.weights[edge_key(x, y)]
     vid = g.vertex_index
     nv = len(vid)
 
@@ -256,18 +262,6 @@ def _lly_lp(g, omega, x, y):
             m2v = g.m2_of(base, z)
             c[vid[z]] += m2v * inv_m1
             c[vid[base]] -= m2v * inv_m1
-
-    ne = g.n_edges
-    a_ub = np.zeros((2 * ne, nv))
-    b_ub = np.zeros(2 * ne)
-    for i, (a, b) in enumerate(g.edges):
-        w = omega.weights[edge_key(a, b)]
-        a_ub[2 * i, vid[a]] = 1.0
-        a_ub[2 * i, vid[b]] = -1.0
-        b_ub[2 * i] = w
-        a_ub[2 * i + 1, vid[a]] = -1.0
-        a_ub[2 * i + 1, vid[b]] = 1.0
-        b_ub[2 * i + 1] = w
 
     bounds = [(None, None)] * nv
     bounds[vid[x]] = (0.0, 0.0)  # gauge
@@ -288,26 +282,28 @@ def lly_edge(g, omega, e):
     """
     x, y = e
     k = edge_key(x, y)
-    if k not in g.m2:
-        raise GraphError(f"({x!r}, {y!r}) is not an edge")
+    g.m2_of(x, y)  # GraphError unless e is an edge
     if k in {edge_key(*b) for b in surgery_scan(g, omega)}:
         raise DegenerateMetric(f"edge ({x!r}, {y!r}) is not the strict shortest path")
-    return _lly_lp(g, omega, x, y)
+    return _lly_lp(g, *_lipschitz_rows(g, omega.vector(g)), x, y, omega.weights[k])
 
 
 def lly_vector(g, omega):
     """Lin-Lu-Yau curvature of every edge (one LP per edge).
 
     One ``surgery_scan`` checks every edge first; DegenerateMetric names
-    each edge that is not strict.
+    each edge that is not strict.  The LPs share one set of Lipschitz
+    constraints and differ only in objective and fixed bounds.
     """
     bad = [f"{u}-{v}" for u, v in surgery_scan(g, omega)]
     if bad:
         raise DegenerateMetric(f"metric is degenerate on edges {bad}")
-    return CurvatureVector(
-        {edge_key(u, v): _lly_lp(g, omega, u, v) for u, v in g.edges},
-        kind="lly",
-    )
+    w = omega.vector(g)
+    rows = _lipschitz_rows(g, w)
+    values = {}
+    for (u, v), d in zip(g.edges, w.tolist()):
+        values[edge_key(u, v)] = _lly_lp(g, *rows, u, v, d)
+    return CurvatureVector(values, kind="lly")
 
 
 def default_epsilon(g):

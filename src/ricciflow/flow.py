@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import CurvatureVector, lly_vector
+from .curvature import CurvatureVector, forman_kappa, lly_vector
 from .graph import (
     MetricAssignment,
     apply_surgery,
@@ -88,11 +88,6 @@ def _row_totals(w):
     return np.cumsum(w, axis=1)[:, -1]
 
 
-def _forman_kappa_vec(f, w_vec):
-    # kappa_e * omega_e = -(F omega)_e, the matrix form of the Forman formula
-    return -(f @ w_vec) / w_vec
-
-
 def forman_flow_exact(g, omega0, times):
     """Evaluate the exact spectral Forman-flow solution at the given times.
 
@@ -111,7 +106,7 @@ def forman_flow_exact(g, omega0, times):
     # omega[s, l] = sum_i coeff[i, l] exp(lambda_i t_s)
     w = np.exp(np.outer(tarr, sd.eigenvalues)) @ coeff
     # one matrix-vector product per row: a batched W @ F.T rounds differently
-    kappa = [_forman_kappa_vec(fm.F, row) for row in w]
+    kappa = [forman_kappa(fm.F, row) for row in w]
     return FlowTrajectory(
         kind="forman",
         graph_snapshots=[g],
@@ -137,7 +132,7 @@ def _lly_kappa_fn(g, fm):
     # On a tree the Lin-Lu-Yau curvature equals the Forman closed form,
     # so stage evaluations reduce to a matrix product.
     if is_tree(g):
-        return lambda w_vec: _forman_kappa_vec(fm.F, w_vec)
+        return lambda w_vec: forman_kappa(fm.F, w_vec)
     return lambda w_vec: lly_vector(
         g, MetricAssignment.from_vector(g, w_vec)
     ).vector(g)

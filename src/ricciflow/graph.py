@@ -97,6 +97,14 @@ class MeasuredGraph:
         return {edge_key(u, v): i for i, (u, v) in enumerate(self.edges)}
 
     @cached_property
+    def ends(self):
+        """(n_edges, 2) endpoint vertex indices, one row per edge in order."""
+        vid = self.vertex_index
+        return np.array(
+            [(vid[u], vid[v]) for u, v in self.edges], dtype=np.intp
+        ).reshape(-1, 2)
+
+    @cached_property
     def adjacency(self):
         """Map vertex -> list of (neighbor, edge index)."""
         adj = {x: [] for x in self.vertices}
@@ -118,11 +126,6 @@ class MeasuredGraph:
         if k not in self.m2:
             raise GraphError(f"({u!r}, {v!r}) is not an edge")
         return self.m2[k]
-
-    def incident_edges(self, x):
-        """Edge indices incident to x."""
-        self.check_vertex(x)
-        return [i for _, i in self.adjacency[x]]
 
     def without_edge(self, u, v):
         """Copy of the graph with one edge removed (may raise if disconnected)."""
@@ -260,14 +263,14 @@ def distance_matrix(g, omega, excluded_edge=None):
     Rows and columns follow ``g.vertices``; unreachable pairs are math.inf.
     ``excluded_edge`` removes one edge from consideration.
     """
-    vid = g.vertex_index
-    skip = edge_key(*excluded_edge) if excluded_edge is not None else None
+    keep = np.ones(g.n_edges, dtype=bool)
+    if excluded_edge is not None:
+        # a pair that is not an edge excludes nothing
+        keep[g.edge_index.get(edge_key(*excluded_edge), [])] = False
+    a, b = g.ends[keep].T
     d = np.full((g.n_vertices, g.n_vertices), math.inf)
     np.fill_diagonal(d, 0.0)
-    for u, v in g.edges:
-        k = edge_key(u, v)
-        if k != skip:
-            d[vid[u], vid[v]] = d[vid[v], vid[u]] = omega.weights[k]
+    d[a, b] = d[b, a] = omega.vector(g)[keep]
     for z in range(g.n_vertices):
         np.minimum(d, d[:, z, None] + d[None, z, :], out=d)
     return d
@@ -345,13 +348,10 @@ def line_graph_adjacency(g):
     B[i, j] = 1 iff edges e_i != e_j share a vertex.
     """
     n = g.n_edges
-    b = np.zeros((n, n))
-    for x in g.vertices:
-        idx = g.incident_edges(x)
-        for a in idx:
-            for c in idx:
-                if a != c:
-                    b[a, c] = 1.0
+    incidence = np.zeros((g.n_vertices, n))
+    incidence[g.ends, np.arange(n)[:, None]] = 1.0
+    b = incidence.T @ incidence  # a simple graph's edges share at most one vertex
+    np.fill_diagonal(b, 0.0)
     return b
 
 

@@ -183,7 +183,7 @@ def jacobi_eigh(a, tol=JACOBI_OFFDIAG_TOL, max_sweeps=JACOBI_MAX_SWEEPS):
     return w[order], v[:, order]
 
 
-def eigendecompose(fm, check_perron=True):
+def eigendecompose(fm):
     """Full orthonormal eigendecomposition of Ftilde.
 
     The top eigenvector is sign-fixed so its largest-magnitude entry is
@@ -191,13 +191,12 @@ def eigendecompose(fm, check_perron=True):
     top eigenvalue is simple.
     """
     w, p = jacobi_eigh(fm.Ftilde)
-    n = len(w)
     top = p[:, -1]
     if top[np.argmax(np.abs(top))] < 0:
         p = p.copy()
         p[:, -1] = -top
         top = p[:, -1]
-    if check_perron and n > 1:
+    if len(w) > 1:
         gap = w[-1] - w[-2]
         if gap <= EIGEN_GAP_TOL:
             raise EigenvalueGapTooSmall(

@@ -35,7 +35,7 @@ class TestCurvatureCommand:
         ) == EXIT_OK
         _, rows = read_csv_rows(tmp_path / "curvature_cycle5.csv")
         for row in rows:
-            assert float(row["forman"]) == pytest.approx(0.0, abs=1e-9)
+            assert row["forman"] == "0"  # an exact zero, never "-0"
             assert float(row["lly"]) == pytest.approx(1.0, abs=1e-9)
 
     def test_empty_file_is_input_error(self, tmp_path, capsys):
@@ -318,6 +318,33 @@ class TestNonFiniteInput:
         assert os.listdir(out) == []
 
     @pytest.mark.parametrize(
+        "argv, word",
+        [
+            (["curvature", "--named", "cycle:4", "--epsilon", "-1"], "epsilon"),
+            (["curvature", "--named", "cycle:4", "--epsilon", "0"], "epsilon"),
+            (["curvature", "--named", "cycle:4", "--epsilon", "1"], "epsilon"),
+            (["flow", "--named", "path:2", "--t-end", "1e300", "--dt", "1e-300"], "steps"),
+            (["flow", "--named", "path:2", "--kind", "lly", "--t-end", "1e300", "--dt", "1e-300"], "steps"),
+            (["flow", "--named", "cycle:4", "--kind", "lly", "--t-end", "2e6", "--dt", "1"], "steps"),
+        ],
+    )
+    def test_out_of_range_options_are_input_errors(self, tmp_path, capsys, argv, word):
+        def hung(signum, frame):
+            pytest.fail(f"{argv} did not return within 10 s")
+
+        out = tmp_path / "out"
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(10)
+        try:
+            code = main(argv + ["--out", str(out)])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == EXIT_INPUT
+        assert word in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize(
         "vertex_a, edge", [("vertex a nan", "edge a b 1"), ("vertex a 1", "edge a b inf")]
     )
     def test_graph_file_values_are_input_errors(self, tmp_path, vertex_a, edge):
@@ -373,6 +400,7 @@ class TestReproduce:
         assert payload["classification"] == "constant_metric"
         assert payload["limiting_curvature"] == pytest.approx(0.0, abs=1e-9)
         _, rows = read_csv_rows(tmp_path / "reproduce_fig1a.csv")
+        assert all(x != "-0" for row in rows for x in row.values())
         last_rows = rows[-3:]
         for row in last_rows:
             assert float(row["kappa"]) == pytest.approx(0.0, abs=1e-8)

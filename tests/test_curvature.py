@@ -68,6 +68,25 @@ class TestForman:
         for e in g.edges:
             assert forman_edge(g, scaled, e) == pytest.approx(forman_edge(g, w, e))
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_closed_form(self, seed):
+        # m2/m1(u) + m2/m1(v) - sum over the other edges e' at x in {u, v}
+        # of (m2(e')/m1(x)) * (omega(e')/omega(e)), summed edge by edge
+        rng = np.random.default_rng(500 + seed)
+        n = int(rng.integers(2, 10))
+        g = random_connected_graph(rng, n, int(rng.integers(0, 6)), uniform_measures=False)
+        w = random_metric(rng, g, 0.1, 10.0)
+        for u, v in g.edges:
+            k = edge_key(u, v)
+            terms = [g.m2[k] / g.m1[u], g.m2[k] / g.m1[v]]
+            for x in (u, v):
+                for a, b in g.edges:
+                    other = edge_key(a, b)
+                    if x in other and other != k:
+                        terms.append(-(g.m2[other] / g.m1[x]) * (w.weights[other] / w.weights[k]))
+            scale = sum(abs(t) for t in terms)
+            assert abs(forman_edge(g, w, (u, v)) - sum(terms)) <= 1e-12 * scale
+
 
 class TestFormanCell:
     def test_empty_cells_reduce_to_graph_form(self):
@@ -198,6 +217,25 @@ class TestLLY:
             lly_edge(g, w, (0, 2))
         # only the edge's own strictness matters to lly_edge
         assert math.isfinite(lly_edge(g, w, g.edges[0]))
+
+    @pytest.mark.parametrize(
+        "make_graph",
+        [
+            lambda rng: build_named_graph("cycle", 5),
+            lambda rng: build_named_graph("complete", 5),
+            lambda rng: random_connected_graph(rng, 7, 3, uniform_measures=False),
+            lambda rng: random_connected_graph(rng, 8, 5, uniform_measures=False),
+        ],
+        ids=["cycle5", "complete5", "chorded7", "chorded8"],
+    )
+    def test_vector_equals_edge_lp(self, make_graph):
+        rng = np.random.default_rng(11)
+        g = make_graph(rng)
+        # a detour has at least two edges of weight >= 1, so every edge is strict
+        w = random_metric(rng, g, 1.0, 1.9)
+        values = lly_vector(g, w).values
+        for u, v in g.edges:
+            assert values[edge_key(u, v)] == lly_edge(g, w, (u, v))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_scaling_invariance(self, seed):
