@@ -22,6 +22,7 @@ from .curvature import (
     EpsilonTooLarge,
     default_epsilon,
     forman_vector,
+    kernel,
     lly_limit_estimate,
     lly_vector,
 )
@@ -41,12 +42,13 @@ from .graph import (
     MetricAssignment,
     build_named_graph,
     edge_key,
-    is_tree,
     load_graph,
 )
 from .spectral import (
     ConvergenceFailure,
     DEFAULT_TOL_ZERO,
+    NotATree,
+    NotUniformMeasure,
     build_flow_matrix,
     classify_convergence,
     classify_tree_uniform,
@@ -156,6 +158,8 @@ def cmd_curvature(args):
     eps = default_epsilon(g)
     if args.epsilon is not None:
         eps = _finite_float(args.epsilon, "--epsilon")
+        for x in g.vertices:
+            kernel(g, x, eps)  # EpsilonTooLarge before any LP is solved
     forman = forman_vector(g, omega).values
     lly = lly_vector(g, omega).values
     lines = ["edge,forman,lly,lly_limit_estimate"]
@@ -211,11 +215,10 @@ def _classify_payload(g, omega0, tol_zero):
         "lower": _fnum(report.bounds[0]),
         "upper": _fnum(report.bounds[1]),
     }
-    uniform = all(g.m1[x] == 1.0 for x in g.vertices) and all(
-        m == 1.0 for m in g.m2.values()
-    )
-    if is_tree(g) and uniform:
+    try:
         payload["tree_case"] = classify_tree_uniform(g)
+    except (NotATree, NotUniformMeasure):
+        pass
     return payload
 
 

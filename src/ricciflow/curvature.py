@@ -1,4 +1,4 @@
-"""Edge curvatures: weighted Forman (graph and cell-complex forms) and Lin-Lu-Yau.
+"""Edge curvatures: weighted Forman and Lin-Lu-Yau.
 
 Graph Forman curvature is one formula, ``forman_kappa``: the curvature
 table, the Forman flow and the Lin-Lu-Yau flow on trees all read it.
@@ -18,16 +18,12 @@ tracer that replaces module-level bindings of ``linprog`` sees every solve.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import (
-    GraphError,
-    MeasuredGraph,
-    MetricAssignment,
     deg_measure,
     distance_matrix,
     edge_key,
@@ -80,31 +76,6 @@ class ProbabilityKernel:
 
 
 @dataclass(frozen=True)
-class TwoCellComplex:
-    """A graph together with weighted 2-cells (cycles with positive measure)."""
-
-    base: MeasuredGraph
-    cells: tuple  # tuple of (cycle vertex tuple, m3)
-
-    def __post_init__(self):
-        seen = set()
-        for cycle, m3 in self.cells:
-            if len(cycle) < 3:
-                raise GraphError(f"cycle {cycle!r} too short")
-            if len(set(cycle)) != len(cycle):
-                raise GraphError(f"cycle {cycle!r} revisits a vertex")
-            if m3 <= 0.0:
-                raise GraphError(f"cell measure on {cycle!r} must be positive")
-            for a, b in _cycle_edges(cycle):
-                if edge_key(a, b) not in self.base.m2:
-                    raise GraphError(f"cycle {cycle!r} uses non-edge ({a!r}, {b!r})")
-            canon = _canonical_cycle(cycle)
-            if canon in seen:
-                raise GraphError(f"duplicate cell {cycle!r}")
-            seen.add(canon)
-
-
-@dataclass(frozen=True)
 class CurvatureVector:
     """Per-edge curvature values with a tag naming the notion used."""
 
@@ -113,30 +84,6 @@ class CurvatureVector:
 
     def vector(self, g):
         return np.array([self.values[edge_key(u, v)] for u, v in g.edges])
-
-
-def _cycle_edges(cycle):
-    n = len(cycle)
-    for i in range(n):
-        yield cycle[i], cycle[(i + 1) % n]
-
-
-def _canonical_cycle(cycle):
-    # identify rotations and reflections
-    n = len(cycle)
-    variants = []
-    for seq in (cycle, tuple(reversed(cycle))):
-        for k in range(n):
-            variants.append(tuple(seq[(k + i) % n] for i in range(n)))
-    return min(variants)
-
-
-def laplacian_apply(g, f, x):
-    """Weighted graph Laplacian of the vertex function f at x."""
-    g.check_vertex(x)
-    return sum(
-        g.m2_of(x, y) * (f[y] - f[x]) for y, _ in g.adjacency[x]
-    ) / g.m1[x]
 
 
 def forman_kappa(f, w):
@@ -155,45 +102,6 @@ def forman_vector(g, omega):
     kappa = forman_kappa(build_flow_matrix(g).F, omega.vector(g))
     keys = [edge_key(u, v) for u, v in g.edges]
     return CurvatureVector(dict(zip(keys, kappa.tolist())), kind="forman")
-
-
-def forman_cell_edge(complex_, omega, e):
-    """Weighted Forman curvature of an edge in a 2-cell complex.
-
-    With an empty cell set this reduces exactly to forman_edge on the base
-    graph.
-    """
-    g = complex_.base
-    if not complex_.cells:
-        # face sums vanish; reuse the graph form so the reduction is exact
-        return forman_edge(g, omega, e)
-    u, v = e
-    k = edge_key(u, v)
-    m2e = g.m2_of(u, v)
-    w_e = omega.weights[k]
-
-    faces_e = 0.0
-    cells_with_e = []
-    for cycle, m3 in complex_.cells:
-        keys = {edge_key(a, b) for a, b in _cycle_edges(cycle)}
-        if k in keys:
-            faces_e += m3
-            cells_with_e.append((keys, m3))
-
-    val = m2e / g.m1[u] + m2e / g.m1[v] + faces_e / m2e
-    for other in g.edges:
-        ko = edge_key(*other)
-        if ko == k:
-            continue
-        shared_vertex_sum = 0.0
-        for x in (u, v):
-            if x in ko:
-                shared_vertex_sum += g.m2[ko] / g.m1[x]
-        shared_face_sum = sum(m3 for keys, m3 in cells_with_e if ko in keys)
-        term = abs(shared_vertex_sum - shared_face_sum / m2e)
-        if term != 0.0:
-            val -= (omega.weights[ko] / w_e) * term
-    return val
 
 
 def kernel(g, x, eps):

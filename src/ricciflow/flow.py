@@ -128,11 +128,12 @@ def normalized_flow_state(g, omega0, t):
     return MetricAssignment.from_vector(g, shape)
 
 
-def _lly_kappa_fn(g, fm):
+def _lly_kappa_fn(g):
     # On a tree the Lin-Lu-Yau curvature equals the Forman closed form,
     # so stage evaluations reduce to a matrix product.
     if is_tree(g):
-        return lambda w_vec: forman_kappa(fm.F, w_vec)
+        f = build_flow_matrix(g).F
+        return lambda w_vec: forman_kappa(f, w_vec)
     return lambda w_vec: lly_vector(
         g, MetricAssignment.from_vector(g, w_vec)
     ).vector(g)
@@ -198,7 +199,7 @@ def lly_flow_integrate(g, omega0, t_end, dt, surgery=True):
         raise ValueError("dt must be positive")
 
     graph = g
-    kappa_fn = _lly_kappa_fn(graph, build_flow_matrix(graph))
+    kappa_fn = _lly_kappa_fn(graph)
     w = omega0.vector(graph)
 
     surgeries = []
@@ -223,7 +224,7 @@ def lly_flow_integrate(g, omega0, t_end, dt, surgery=True):
             surgeries.extend(events)
             snapshots.append(graph)
             rows.append(([], [], []))
-            kappa_fn = _lly_kappa_fn(graph, build_flow_matrix(graph))
+            kappa_fn = _lly_kappa_fn(graph)
             w = cut.vector(graph)
             keep_every = 1 if graph.n_edges <= SAMPLE_EVERY_THRESHOLD else 10
 

@@ -105,6 +105,13 @@ class MeasuredGraph:
         ).reshape(-1, 2)
 
     @cached_property
+    def incidence(self):
+        """(n_vertices, n_edges) 0/1 matrix: entry [x, i] is 1 iff x ends e_i."""
+        inc = np.zeros((self.n_vertices, self.n_edges))
+        inc[self.ends, np.arange(self.n_edges)[:, None]] = 1.0
+        return inc
+
+    @cached_property
     def adjacency(self):
         """Map vertex -> list of (neighbor, edge index)."""
         adj = {x: [] for x in self.vertices}
@@ -347,10 +354,7 @@ def line_graph_adjacency(g):
 
     B[i, j] = 1 iff edges e_i != e_j share a vertex.
     """
-    n = g.n_edges
-    incidence = np.zeros((g.n_vertices, n))
-    incidence[g.ends, np.arange(n)[:, None]] = 1.0
-    b = incidence.T @ incidence  # a simple graph's edges share at most one vertex
+    b = g.incidence.T @ g.incidence  # a simple graph's edges share at most one vertex
     np.fill_diagonal(b, 0.0)
     return b
 

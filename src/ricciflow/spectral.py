@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (
-    GraphError,
-    MeasuredGraph,
-    MetricAssignment,
-    edge_key,
-    is_tree,
-)
+from .graph import MetricAssignment, edge_key, is_tree
 
 VANISHING = "vanishing"
 CONSTANT_METRIC = "constant_metric"
@@ -57,7 +51,7 @@ class FlowMatrix:
     """Generator F of the linear Forman flow plus its symmetrization."""
 
     F: np.ndarray
-    M: np.ndarray  # diag(sqrt(m2(e_i)))
+    sqrt_m2: np.ndarray  # sqrt(m2(e_i)), the diagonal of M
     Ftilde: np.ndarray
 
     def bounds(self):
@@ -95,21 +89,25 @@ class ConvergenceReport:
 
 
 def build_flow_matrix(g):
-    """Assemble F, M and the averaged-symmetric Ftilde for g."""
+    """Assemble F, sqrt(m2) and the averaged-symmetric Ftilde for g.
+
+    F[i, j] = m2(e_j) / m1(x) for edges e_i != e_j meeting at x, and
+    F[i, i] = -(m2/m1(u) + m2/m1(v)) for e_i = (u, v).
+    """
     n = g.n_edges
-    f = np.zeros((n, n))
+    m1 = np.array([g.m1[x] for x in g.vertices])
     m2 = np.array([g.m2[edge_key(u, v)] for u, v in g.edges])
-    for i, (u, v) in enumerate(g.edges):
-        f[i, i] = -(m2[i] / g.m1[u] + m2[i] / g.m1[v])
-        for x in (u, v):
-            for _, j in g.adjacency[x]:
-                if j != i:
-                    f[i, j] += m2[j] / g.m1[x]
-    m = np.diag(np.sqrt(m2))
-    m_inv = np.diag(1.0 / np.sqrt(m2))
-    ftilde = m @ f @ m_inv
+    inc = g.incidence
+    # m1 of the vertex e_i and e_j share; a simple graph's edges share at most one
+    shared = inc.T @ (inc * m1[:, None])
+    np.fill_diagonal(shared, 0.0)
+    f = np.divide(m2[None, :], shared, out=np.zeros((n, n)), where=shared > 0.0)
+    u, v = g.ends.T
+    f[np.diag_indices(n)] = -(m2 / m1[u] + m2 / m1[v])
+    sqrt_m2 = np.sqrt(m2)
+    ftilde = sqrt_m2[:, None] * f * (1.0 / sqrt_m2)[None, :]
     ftilde = 0.5 * (ftilde + ftilde.T)  # kill rounding asymmetry
-    return FlowMatrix(F=f, M=m, Ftilde=ftilde)
+    return FlowMatrix(F=f, sqrt_m2=sqrt_m2, Ftilde=ftilde)
 
 
 def _jacobi_sweeps(a, v, tol, max_sweeps):
@@ -183,6 +181,16 @@ def jacobi_eigh(a, tol=JACOBI_OFFDIAG_TOL, max_sweeps=JACOBI_MAX_SWEEPS):
     return w[order], v[:, order]
 
 
+def _perron_eigh(a):
+    # the package's one eigensolve: ascending eigenpairs of the symmetric a,
+    # with the top eigenvector's largest-magnitude entry made positive
+    w, p = jacobi_eigh(a)
+    top = p[:, -1]
+    if top[np.argmax(np.abs(top))] < 0:
+        p[:, -1] = -top
+    return w, p
+
+
 def eigendecompose(fm):
     """Full orthonormal eigendecomposition of Ftilde.
 
@@ -190,12 +198,8 @@ def eigendecompose(fm):
     positive; on a connected graph it is then entrywise positive and the
     top eigenvalue is simple.
     """
-    w, p = jacobi_eigh(fm.Ftilde)
+    w, p = _perron_eigh(fm.Ftilde)
     top = p[:, -1]
-    if top[np.argmax(np.abs(top))] < 0:
-        p = p.copy()
-        p[:, -1] = -top
-        top = p[:, -1]
     if len(w) > 1:
         gap = w[-1] - w[-2]
         if gap <= EIGEN_GAP_TOL:
@@ -216,7 +220,7 @@ def flow_coefficients(sd, fm, omega0_vec):
     omega(t, e_l) = sum_i C[i, l] * exp(lambda_i * t).
     """
     omega0_vec = np.asarray(omega0_vec, dtype=float)
-    sqrt_m2 = np.diag(fm.M)
+    sqrt_m2 = fm.sqrt_m2
     proj = sd.eigenvectors.T @ (sqrt_m2 * omega0_vec)  # proj_i = sum_j p_ij w0_j sqrt(m2_j)
     return (proj[:, None] * sd.eigenvectors.T) / sqrt_m2[None, :]
 
@@ -244,8 +248,7 @@ def classify_convergence(g, omega0, tol_zero=DEFAULT_TOL_ZERO):
         classification = CONSTANT_METRIC
     else:
         classification = DIVERGENT
-    sqrt_m2 = np.diag(fm.M)
-    shape = sd.perron_vector / sqrt_m2
+    shape = sd.perron_vector / fm.sqrt_m2
     shape = shape / np.sum(shape)
     limiting = {edge_key(u, v): float(shape[i]) for i, (u, v) in enumerate(g.edges)}
     return ConvergenceReport(
@@ -278,14 +281,11 @@ def inverse_curvature(g, kappa_target, tol=DEFAULT_TOL_ZERO):
         [kappa_target[edge_key(u, v)] for u, v in g.edges], dtype=float
     )
     k = fm.Ftilde + np.diag(kappa)
-    w, p = jacobi_eigh(k)
+    w, p = _perron_eigh(k)
     lam = float(w[-1])
     if abs(lam) > tol:
         return InverseResult(metric=None, lambda_max=lam)
-    top = p[:, -1]
-    if top[np.argmax(np.abs(top))] < 0:
-        top = -top
-    omega = top / np.diag(fm.M)
+    omega = p[:, -1] / fm.sqrt_m2
     return InverseResult(
         metric=MetricAssignment.from_vector(g, omega), lambda_max=lam
     )

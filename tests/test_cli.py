@@ -45,6 +45,25 @@ class TestCurvatureCommand:
         assert code == EXIT_INPUT
         assert "error" in capsys.readouterr().err
 
+    def test_bad_epsilon_is_found_before_any_lp(self, tmp_path, capsys, monkeypatch):
+        import scipy.optimize
+
+        import ricciflow.curvature
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return scipy.optimize.linprog(*args, **kwargs)
+
+        monkeypatch.setattr(ricciflow.curvature, "linprog", counting)
+        code = main(
+            ["curvature", "--named", "complete:9", "--epsilon", "1", "--out", str(tmp_path)]
+        )
+        assert code == EXIT_INPUT
+        assert "epsilon" in capsys.readouterr().err
+        assert calls == []
+
     def test_missing_file(self, tmp_path):
         code = main(
             ["curvature", "--input", str(tmp_path / "nope.graph"), "--out", str(tmp_path)]

@@ -6,43 +6,20 @@ import pytest
 from ricciflow import (
     DegenerateMetric,
     EpsilonTooLarge,
-    GraphError,
     MetricAssignment,
-    TwoCellComplex,
     build_named_graph,
     deg_measure,
     default_epsilon,
     edge_key,
-    forman_cell_edge,
     forman_edge,
     is_tree,
     kernel,
-    laplacian_apply,
     lly_edge,
     lly_limit_estimate,
     lly_vector,
     wasserstein,
 )
 from conftest import random_connected_graph, random_metric, random_tree
-
-
-class TestLaplacian:
-    def test_constant_function(self):
-        g = build_named_graph("cycle", 5)
-        f = {x: 7.0 for x in g.vertices}
-        for x in g.vertices:
-            assert laplacian_apply(g, f, x) == pytest.approx(0.0)
-
-    def test_linear_on_path(self):
-        g = build_named_graph("path", 2)
-        f = {0: 0.0, 1: 1.0, 2: 2.0}
-        assert laplacian_apply(g, f, 1) == pytest.approx(0.0)
-
-    def test_indicator_at_star_center(self):
-        g = build_named_graph("star", 3)
-        f = {x: 0.0 for x in g.vertices}
-        f[1] = 1.0
-        assert laplacian_apply(g, f, 0) == pytest.approx(1.0)
 
 
 class TestForman:
@@ -86,40 +63,6 @@ class TestForman:
                         terms.append(-(g.m2[other] / g.m1[x]) * (w.weights[other] / w.weights[k]))
             scale = sum(abs(t) for t in terms)
             assert abs(forman_edge(g, w, (u, v)) - sum(terms)) <= 1e-12 * scale
-
-
-class TestFormanCell:
-    def test_empty_cells_reduce_to_graph_form(self):
-        rng = np.random.default_rng(3)
-        g = random_connected_graph(rng, 6, 2, uniform_measures=False)
-        cx = TwoCellComplex(g, ())
-        w = random_metric(rng, g)
-        for e in g.edges:
-            assert forman_cell_edge(cx, w, e) == forman_edge(g, w, e)
-
-    def test_triangle_with_unit_face(self):
-        g = build_named_graph("cycle", 3)
-        w = MetricAssignment.uniform(g)
-        cx = TwoCellComplex(g, (((0, 1, 2), 1.0),))
-        for e in g.edges:
-            assert forman_cell_edge(cx, w, e) == pytest.approx(3.0)
-
-    def test_triangle_with_heavy_face(self):
-        g = build_named_graph("cycle", 3)
-        w = MetricAssignment.uniform(g)
-        cx = TwoCellComplex(g, (((0, 1, 2), 3.0),))
-        for e in g.edges:
-            assert forman_cell_edge(cx, w, e) == pytest.approx(1.0)
-
-    def test_rejects_bad_cycle(self):
-        g = build_named_graph("path", 3)
-        with pytest.raises(GraphError):
-            TwoCellComplex(g, (((0, 1, 3), 1.0),))
-
-    def test_rejects_duplicate_cycle_up_to_rotation(self):
-        g = build_named_graph("cycle", 3)
-        with pytest.raises(GraphError):
-            TwoCellComplex(g, (((0, 1, 2), 1.0), ((1, 2, 0), 2.0)))
 
 
 class TestKernel:

@@ -64,11 +64,15 @@ class TestFlowMatrix:
         b = line_graph_adjacency(g)
         off = fm.F - np.diag(np.diag(fm.F))
         assert np.all((off > 0) == (b > 0))
+        m2 = [g.m2[edge_key(u, v)] for u, v in g.edges]
         for i, (u, v) in enumerate(g.edges):
-            k = edge_key(u, v)
-            assert fm.F[i, i] == pytest.approx(
-                -(g.m2[k] / g.m1[u] + g.m2[k] / g.m1[v])
-            )
+            assert fm.F[i, i] == -(m2[i] / g.m1[u] + m2[i] / g.m1[v])
+            for j, (a, c) in enumerate(g.edges):
+                if j != i:
+                    shared = [x for x in (u, v) if x in (a, c)]
+                    expected = m2[j] / g.m1[shared[0]] if shared else 0.0
+                    assert fm.F[i, j] == expected
+        assert np.array_equal(fm.sqrt_m2, np.sqrt(m2))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_uniform_tree_is_line_graph_shift(self, seed):
@@ -127,7 +131,7 @@ class TestFlowCoefficients:
         g = random_connected_graph(rng, 6, 1, uniform_measures=False)
         fm = build_flow_matrix(g)
         sd = eigendecompose(fm)
-        w0 = sd.perron_vector / np.diag(fm.M)
+        w0 = sd.perron_vector / fm.sqrt_m2
         coeff = flow_coefficients(sd, fm, w0)
         assert np.max(np.abs(coeff[:-1])) < 1e-12
         assert np.allclose(coeff[-1], w0)
