@@ -11,10 +11,13 @@ Exit codes: 0 success, 2 input error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
+
+import numpy as np
 
 from . import __version__
 from .curvature import (
@@ -242,7 +245,7 @@ def cmd_flow(args):
         raise InputError(f"--t-end / --dt must be at most {MAX_FLOW_STEPS} steps")
     if args.kind == "forman":
         steps = max(1, int(round(t_end / dt)))
-        times = [i * t_end / steps for i in range(steps + 1)]
+        times = np.arange(steps + 1) * t_end / steps
         traj = forman_flow_exact(g, omega0, times)
     else:
         traj = lly_flow_integrate(g, omega0, t_end, dt, surgery=args.surgery)
@@ -295,7 +298,7 @@ def figure2_initial_metric(g, delta):
 
 def _reproduce_flow(g, omega0, name, out_dir, t_end=12.0, dt=0.01):
     steps = int(round(t_end / dt))
-    times = [i * dt for i in range(steps + 1)]
+    times = np.arange(steps + 1) * dt
     traj = normalized_trajectory(forman_flow_exact(g, omega0, times))
     csv_path = os.path.join(out_dir, f"reproduce_{name}.csv")
     write_trajectory_csv(traj, g, csv_path)
@@ -342,7 +345,14 @@ def cmd_reproduce(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The one parser of this process, built at its first use.
+
+    Parsing fills a fresh namespace and reads no state back into the parser,
+    so calls share it; defaults that depend on the environment, like
+    RICCI_TOL_ZERO, are read by the commands, not stored here.
+    """
     parser = argparse.ArgumentParser(
         prog="ricciflow",
         description="Discrete Ricci curvature and curvature flows on measured graphs",
@@ -401,8 +411,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if hasattr(args, "out"):
             os.makedirs(args.out, exist_ok=True)

@@ -87,8 +87,15 @@ class CurvatureVector:
 
 
 def forman_kappa(f, w):
-    """kappa = -(F w) / w with F the Forman flow generator; an exact zero is +0."""
-    return (f @ -w) / w
+    """kappa = -(F w) / w with F the Forman flow generator; an exact zero is +0.
+
+    ``w`` is one weight vector or a ``(samples, edges)`` array, one sample
+    per row.  Each row is a column vector to matmul, which makes numpy call
+    one gemv per row, so a whole trajectory's rows come out bit for bit as
+    one call per sample would give them (``w @ F.T`` would use gemm, which
+    rounds differently).
+    """
+    return (f @ -w[..., None])[..., 0] / w
 
 
 def forman_edge(g, omega, e):

@@ -94,19 +94,16 @@ def forman_flow_exact(g, omega0, times):
     The linear flow is globally defined and positivity-preserving, so no
     surgery is applied.
     """
-    times = list(times)
-    if any(t < 0 for t in times) or any(
-        b <= a for a, b in zip(times, times[1:])
-    ):
+    tarr = np.asarray(times, dtype=float)
+    # negated comparisons also reject nan times
+    if not (np.all(tarr >= 0) and np.all(np.diff(tarr) > 0)):
         raise ValueError("times must be nonnegative and strictly increasing")
     fm = build_flow_matrix(g)
     sd = eigendecompose(fm)
     coeff = flow_coefficients(sd, fm, omega0.vector(g))
-    tarr = np.asarray(times, dtype=float)
     # omega[s, l] = sum_i coeff[i, l] exp(lambda_i t_s)
     w = np.exp(np.outer(tarr, sd.eigenvalues)) @ coeff
-    # one matrix-vector product per row: a batched W @ F.T rounds differently
-    kappa = [forman_kappa(fm.F, row) for row in w]
+    kappa = forman_kappa(fm.F, w)
     return FlowTrajectory(
         kind="forman",
         graph_snapshots=[g],

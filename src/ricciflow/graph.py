@@ -44,7 +44,8 @@ def edge_key(u, v):
 
 @dataclass(frozen=True)
 class MeasuredGraph:
-    """Simple connected graph with vertex measure m1 and edge measure m2.
+    """Simple connected graph, with at least one edge, vertex measure m1 and
+    edge measure m2.
 
     The order of ``edges`` fixes the edge indices used by every
     matrix-valued operation in the package.
@@ -75,6 +76,8 @@ class MeasuredGraph:
         for k in seen:
             if not 0.0 < self.m2.get(k, 0.0) < math.inf:
                 raise GraphError(f"m2{tuple(k)} must be positive and finite")
+        if not self.edges:
+            raise GraphError("graph must have at least one edge")
         if not _is_connected(self.vertices, self.edges):
             raise GraphError("graph must be connected")
 
@@ -100,9 +103,7 @@ class MeasuredGraph:
     def ends(self):
         """(n_edges, 2) endpoint vertex indices, one row per edge in order."""
         vid = self.vertex_index
-        return np.array(
-            [(vid[u], vid[v]) for u, v in self.edges], dtype=np.intp
-        ).reshape(-1, 2)
+        return np.array([(vid[u], vid[v]) for u, v in self.edges], dtype=np.intp)
 
     @cached_property
     def incidence(self):
@@ -189,8 +190,6 @@ class SurgeryEvent:
 
 
 def _is_connected(vertices, edges):
-    if not vertices:
-        return False
     adj = {x: [] for x in vertices}
     for u, v in edges:
         adj[u].append(v)

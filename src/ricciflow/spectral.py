@@ -31,7 +31,8 @@ DEFAULT_TOL_ZERO = 1e-9
 
 
 class ConvergenceFailure(RuntimeError):
-    """Jacobi sweeps did not drive the off-diagonal norm below tolerance."""
+    """No finite spectral answer: the flow matrix overflowed, or Jacobi sweeps
+    did not drive the off-diagonal norm below tolerance."""
 
 
 class EigenvalueGapTooSmall(RuntimeError):
@@ -92,7 +93,8 @@ def build_flow_matrix(g):
     """Assemble F, sqrt(m2) and the averaged-symmetric Ftilde for g.
 
     F[i, j] = m2(e_j) / m1(x) for edges e_i != e_j meeting at x, and
-    F[i, i] = -(m2/m1(u) + m2/m1(v)) for e_i = (u, v).
+    F[i, i] = -(m2/m1(u) + m2/m1(v)) for e_i = (u, v).  ConvergenceFailure
+    if an entry of F or Ftilde overflows, so no command reads an inf.
     """
     n = g.n_edges
     m1 = np.array([g.m1[x] for x in g.vertices])
@@ -101,12 +103,15 @@ def build_flow_matrix(g):
     # m1 of the vertex e_i and e_j share; a simple graph's edges share at most one
     shared = inc.T @ (inc * m1[:, None])
     np.fill_diagonal(shared, 0.0)
-    f = np.divide(m2[None, :], shared, out=np.zeros((n, n)), where=shared > 0.0)
-    u, v = g.ends.T
-    f[np.diag_indices(n)] = -(m2 / m1[u] + m2 / m1[v])
-    sqrt_m2 = np.sqrt(m2)
-    ftilde = sqrt_m2[:, None] * f * (1.0 / sqrt_m2)[None, :]
-    ftilde = 0.5 * (ftilde + ftilde.T)  # kill rounding asymmetry
+    with np.errstate(over="ignore"):  # an overflow is raised just below
+        f = np.divide(m2[None, :], shared, out=np.zeros((n, n)), where=shared > 0.0)
+        u, v = g.ends.T
+        f[np.diag_indices(n)] = -(m2 / m1[u] + m2 / m1[v])
+        sqrt_m2 = np.sqrt(m2)
+        ftilde = sqrt_m2[:, None] * f * (1.0 / sqrt_m2)[None, :]
+        ftilde = 0.5 * (ftilde + ftilde.T)  # kill rounding asymmetry
+    if not (np.isfinite(f).all() and np.isfinite(ftilde).all()):
+        raise ConvergenceFailure("flow matrix overflows: an m2/m1 ratio is too large")
     return FlowMatrix(F=f, sqrt_m2=sqrt_m2, Ftilde=ftilde)
 
 

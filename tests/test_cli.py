@@ -5,10 +5,11 @@ import pathlib
 import signal
 import subprocess
 import sys
+import warnings
 
 import pytest
 
-from ricciflow.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
+from ricciflow.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, build_parser, main
 
 
 def read_csv_rows(path):
@@ -372,6 +373,97 @@ class TestNonFiniteInput:
         out = tmp_path / "out"
         assert main(["classify", "--input", str(graph), "--out", str(out)]) == EXIT_INPUT
         assert os.listdir(out) == []
+
+
+# one vertex, no edge: no curvature is defined
+EDGELESS_GRAPH = "graph 1 0\nvertex a 1\n"
+# finite inputs whose m2/m1 = 1e600 overflows the flow matrix
+OVERFLOW_GRAPH = "graph 2 1\nvertex a 1e-300\nvertex b 1e-300\nedge a b 1e300\n"
+
+
+class TestDegenerateGraphFile:
+    @staticmethod
+    def _run(tmp_path, text, argv):
+        graph = tmp_path / "g.graph"
+        graph.write_text(text)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning on stderr either
+            code = main(argv + ["--input", str(graph), "--out", str(out)])
+        assert os.listdir(out) == []
+        return code
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["curvature"],
+            ["spectrum"],
+            ["classify"],
+            ["flow", "--kind", "forman"],
+            ["flow", "--kind", "lly"],
+        ],
+    )
+    def test_edgeless_graph_is_input_error(self, tmp_path, capsys, argv):
+        assert self._run(tmp_path, EDGELESS_GRAPH, argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "at least one edge" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify"],
+            ["spectrum"],
+            ["inverse", "--kappa", "0"],
+            ["flow", "--kind", "forman"],
+            ["flow", "--kind", "lly"],
+            ["curvature"],
+        ],
+    )
+    def test_overflowing_flow_matrix_is_numerical_error(self, tmp_path, capsys, argv):
+        # these used to exit 0 writing NaN, Infinity or nan
+        assert self._run(tmp_path, OVERFLOW_GRAPH, argv) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "overflow" in err
+        assert "Traceback" not in err
+
+
+LLY_CYCLE4 = ["flow", "--named", "cycle:4", "--kind", "lly", "--omega0", "1,1,1,3.5"]
+# (argv, RICCI_TOL_ZERO or None) per command, run in this order
+SHARED_PARSER_CASES = {
+    "lly_surgery_flag": [(LLY_CYCLE4 + ["--no-surgery"], None), (LLY_CYCLE4, None)],
+    "classify_tol_zero": [
+        (["classify", "--named", "path:5", "--tol-zero", "1"], None),
+        (["classify", "--named", "path:5"], "1e-3"),
+    ],
+}
+
+
+class TestSharedParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize("case", sorted(SHARED_PARSER_CASES))
+    def test_no_option_value_leaks_between_calls(self, tmp_path, monkeypatch, case):
+        def run(argv, env, out):
+            if env is None:
+                monkeypatch.delenv("RICCI_TOL_ZERO", raising=False)
+            else:
+                monkeypatch.setenv("RICCI_TOL_ZERO", env)
+            code = main(argv + ["--out", str(out)])
+            return code, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+        steps = SHARED_PARSER_CASES[case]
+        first = []
+        for i, (argv, env) in enumerate(steps):
+            build_parser.cache_clear()  # the command is the parser's first
+            first.append(run(argv, env, tmp_path / f"first{i}"))
+        assert first[0] != first[1]  # a leaked value would show
+        build_parser.cache_clear()
+        parser = build_parser()
+        for i, (argv, env) in enumerate(steps):
+            assert run(argv, env, tmp_path / f"shared{i}") == first[i], argv
+        assert build_parser() is parser
 
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"

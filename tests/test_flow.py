@@ -20,8 +20,10 @@ from ricciflow import (
     write_surgery_csv,
     write_trajectory_csv,
 )
+from ricciflow.curvature import forman_kappa
 from ricciflow.flow import CSV_BLOCK_SAMPLES, atomic_write
-from conftest import random_metric, random_tree
+from ricciflow.spectral import build_flow_matrix
+from conftest import random_connected_graph, random_metric, random_tree
 
 
 def metric_vec(g, omega):
@@ -76,6 +78,34 @@ class TestFormanFlowExact:
             forman_flow_exact(g, w0, [1.0, 0.5])
         with pytest.raises(ValueError):
             forman_flow_exact(g, w0, [-1.0, 0.0])
+        with pytest.raises(ValueError):
+            forman_flow_exact(g, w0, [0.0, 0.0])
+        with pytest.raises(ValueError):
+            forman_flow_exact(g, w0, [0.0, math.nan])
+
+    @pytest.mark.parametrize("samples", [1, 2, 300])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_stacked_kappa_rows_match_per_row_products(self, seed, samples):
+        # the trajectory's curvature comes from one stacked product; every
+        # row must equal that sample's own matrix-vector product bit for bit
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 30))
+        uniform = seed % 3 == 0
+        if seed % 2 or n < 4:
+            g = random_tree(rng, n, uniform_measures=uniform)
+        else:
+            g = random_connected_graph(
+                rng, n, int(rng.integers(1, n)), uniform_measures=uniform
+            )
+        traj = forman_flow_exact(
+            g, random_metric(rng, g), np.linspace(0.0, 3.0, samples)
+        )
+        ((_, w, kappa),) = traj.segments
+        f = build_flow_matrix(g).F
+        per_row = np.array([(f @ -row) / row for row in w])
+        assert kappa.shape == (samples, g.n_edges)
+        assert np.array_equal(kappa, per_row)
+        assert np.array_equal(forman_kappa(f, w[0]), forman_kappa(f, w)[0])
 
     @pytest.mark.parametrize("seed", range(3))
     def test_positivity(self, seed):

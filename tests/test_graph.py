@@ -15,7 +15,6 @@ from ricciflow import (
     apply_surgery,
     build_named_graph,
     deg_measure,
-    distance_matrix,
     edge_key,
     is_tree,
     line_graph_adjacency,
@@ -100,6 +99,11 @@ class TestConstruction:
                 {i: 1.0 for i in range(4)},
                 {edge_key(0, 1): 1.0, edge_key(2, 3): 1.0},
             )
+
+    def test_rejects_edgeless(self):
+        # one vertex and no edge is connected, but no curvature is defined
+        with pytest.raises(GraphError, match="at least one edge"):
+            MeasuredGraph(("a",), (), {"a": 1.0}, {})
 
     def test_rejects_nonpositive_measures(self):
         with pytest.raises(GraphError):
@@ -313,18 +317,12 @@ class TestLineGraph:
         g = build_named_graph("path", 1)
         assert np.array_equal(line_graph_adjacency(g), np.zeros((1, 1)))
 
-    def test_edgeless_graph_indexes_cleanly(self):
-        g = MeasuredGraph(("a",), (), {"a": 1.0}, {})
-        assert g.ends.shape == (0, 2) and g.ends.dtype == np.intp
-        assert line_graph_adjacency(g).shape == (0, 0)
-        assert np.array_equal(distance_matrix(g, MetricAssignment({})), np.zeros((1, 1)))
-
     def test_ends_follow_edge_order(self):
         g = MeasuredGraph(
             ("x", "y", "z"), (("z", "x"), ("x", "y")), dict.fromkeys("xyz", 1.0),
             {edge_key("z", "x"): 1.0, edge_key("x", "y"): 1.0},
         )
-        assert g.ends.tolist() == [[2, 0], [0, 1]]
+        assert g.ends.tolist() == [[2, 0], [0, 1]] and g.ends.dtype == np.intp
 
     @pytest.mark.parametrize("seed", range(3))
     def test_row_sums(self, seed):
