@@ -20,7 +20,6 @@ from .graph import (
     surgery_scan,
 )
 from .curvature import (
-    CurvatureVector,
     DegenerateMetric,
     EpsilonTooLarge,
     ProbabilityKernel,

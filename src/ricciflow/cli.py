@@ -103,6 +103,14 @@ def _finite_float(value, what):
     return x
 
 
+def _nonnegative_float(value, what):
+    """_finite_float(value); a negative value is an input error too."""
+    x = _finite_float(value, what)
+    if x < 0:
+        raise InputError(f"{what} must be nonnegative, got {value!r}")
+    return x
+
+
 def _parse_floats(text, what):
     return [_finite_float(p, what) for p in text.split(",") if p.strip() != ""]
 
@@ -151,9 +159,11 @@ def _resolve_graph(args):
 
 def _tol_zero(args):
     if args.tol_zero is not None:
-        return _finite_float(args.tol_zero, "--tol-zero")
+        return _nonnegative_float(args.tol_zero, "--tol-zero")
     env = os.environ.get("RICCI_TOL_ZERO")
-    return DEFAULT_TOL_ZERO if env is None else _finite_float(env, "RICCI_TOL_ZERO")
+    if env is None:
+        return DEFAULT_TOL_ZERO
+    return _nonnegative_float(env, "RICCI_TOL_ZERO")
 
 
 def cmd_curvature(args):
@@ -163,17 +173,21 @@ def cmd_curvature(args):
         eps = _finite_float(args.epsilon, "--epsilon")
         for x in g.vertices:
             kernel(g, x, eps)  # EpsilonTooLarge before any LP is solved
-    forman = forman_vector(g, omega).values
-    lly = lly_vector(g, omega).values
+    forman = forman_vector(g, omega).tolist()
+    lly = lly_vector(g, omega).tolist()
     lines = ["edge,forman,lly,lly_limit_estimate"]
-    for e in g.edges:
-        k = edge_key(*e)
-        row = [forman[k], lly[k], lly_limit_estimate(g, omega, e, eps)]
+    for i, e in enumerate(g.edges):
+        row = [forman[i], lly[i], lly_limit_estimate(g, omega, e, eps)]
         lines.append(",".join([_edge_id(*e)] + [FLOAT_FMT % x for x in row]))
     out = os.path.join(args.out, f"curvature_{name}.csv")
     atomic_write(out, "\n".join(lines) + "\n")
     print(out)
     return EXIT_OK
+
+
+def _per_edge(g, values):
+    # JSON object edge id -> value, in edge order
+    return {_edge_id(u, v): _fnum(x) for (u, v), x in zip(g.edges, values)}
 
 
 def _spectrum_payload(g):
@@ -183,10 +197,7 @@ def _spectrum_payload(g):
     return {
         "eigenvalues": [_fnum(x) for x in sd.eigenvalues],
         "lambda_max": _fnum(sd.lambda_max),
-        "perron_vector": {
-            _edge_id(u, v): _fnum(sd.perron_vector[i])
-            for i, (u, v) in enumerate(g.edges)
-        },
+        "perron_vector": _per_edge(g, sd.perron_vector),
         "bounds": {"lower": _fnum(lower), "upper": _fnum(upper)},
     }
 
@@ -204,15 +215,12 @@ def _limit_payload(g, report):
         "classification": report.classification,
         "lambda_max": _fnum(report.lambda_max),
         "limiting_curvature": _fnum(report.limiting_curvature),
-        "limiting_normalized_metric": {
-            _edge_id(u, v): _fnum(report.limiting_normalized_metric[edge_key(u, v)])
-            for u, v in g.edges
-        },
+        "limiting_normalized_metric": _per_edge(g, report.limiting_normalized_metric),
     }
 
 
-def _classify_payload(g, omega0, tol_zero):
-    report = classify_convergence(g, omega0, tol_zero=tol_zero)
+def _classify_payload(g, tol_zero):
+    report = classify_convergence(g, tol_zero=tol_zero)
     payload = _limit_payload(g, report)
     payload["bounds"] = {
         "lower": _fnum(report.bounds[0]),
@@ -226,9 +234,9 @@ def _classify_payload(g, omega0, tol_zero):
 
 
 def cmd_classify(args):
-    g, omega0, name = _resolve_graph(args)
+    g, _, name = _resolve_graph(args)
     out = os.path.join(args.out, f"classify_{name}.json")
-    _write_json(out, _classify_payload(g, omega0, _tol_zero(args)))
+    _write_json(out, _classify_payload(g, _tol_zero(args)))
     print(out)
     return EXIT_OK
 
@@ -264,17 +272,13 @@ def cmd_inverse(args):
     vals = _parse_floats(args.kappa, "--kappa")
     if len(vals) != g.n_edges:
         raise InputError(f"--kappa needs {g.n_edges} values, got {len(vals)}")
-    kappa = {edge_key(u, v): vals[i] for i, (u, v) in enumerate(g.edges)}
-    result = inverse_curvature(g, kappa, tol=_finite_float(args.tol, "--tol"))
+    result = inverse_curvature(g, vals, tol=_nonnegative_float(args.tol, "--tol"))
     payload = {"lambda_max_K": _fnum(result.lambda_max)}
     if result.metric is None:
         payload["solvable"] = False
     else:
         payload["solvable"] = True
-        payload["omega"] = {
-            _edge_id(u, v): _fnum(result.metric.weights[edge_key(u, v)])
-            for u, v in g.edges
-        }
+        payload["omega"] = _per_edge(g, result.metric.vector(g))
     out = os.path.join(args.out, f"inverse_{name}.json")
     _write_json(out, payload)
     print(out)
@@ -312,15 +316,12 @@ def cmd_reproduce(args):
     if fig in FLOW_FIGURES:
         family, n, mode, m2_values = FLOW_FIGURES[fig]
         g = build_named_graph(family, n, mode, m2_values=m2_values)
-        omega0 = MetricAssignment.uniform(g)
-        written.append(_reproduce_flow(g, omega0, fig, out_dir))
-        summary = _limit_payload(g, classify_convergence(g, omega0))
+        written.append(_reproduce_flow(g, MetricAssignment.uniform(g), fig, out_dir))
+        summary = _limit_payload(g, classify_convergence(g))
     elif fig == "fig2":
         g = figure2_graph()
         # the long-time limit depends only on the graph: classify it once
-        limit = _limit_payload(
-            g, classify_convergence(g, figure2_initial_metric(g, 0.0))
-        )
+        limit = _limit_payload(g, classify_convergence(g))
         summary = {"deltas": {}}
         for delta in (0.0, 0.01, 0.02, 0.03):
             label = FLOAT_FMT % delta
@@ -392,7 +393,6 @@ def build_parser():
     p.add_argument("--kind", choices=("forman", "lly"), default="forman")
     p.add_argument("--t-end", type=float, default=5.0)
     p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--surgery", action="store_true", default=True)
     p.add_argument("--no-surgery", dest="surgery", action="store_false")
     p.set_defaults(func=cmd_flow)
 

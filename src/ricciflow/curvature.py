@@ -2,6 +2,8 @@
 
 Graph Forman curvature is one formula, ``forman_kappa``: the curvature
 table, the Forman flow and the Lin-Lu-Yau flow on trees all read it.
+``forman_vector`` and ``lly_vector`` return one value per edge as an array
+in the order of ``g.edges``; ``forman_edge`` and ``lly_edge`` return one.
 
 Lin-Lu-Yau curvature comes in two independent routes: an exact linear
 program over Lipschitz potentials (``lly_edge``) and a finite-laziness
@@ -75,17 +77,6 @@ class ProbabilityKernel:
             raise ValueError(f"kernel masses sum to {total}, expected 1")
 
 
-@dataclass(frozen=True)
-class CurvatureVector:
-    """Per-edge curvature values with a tag naming the notion used."""
-
-    values: dict  # edge_key -> curvature
-    kind: str  # "forman" or "lly"
-
-    def vector(self, g):
-        return np.array([self.values[edge_key(u, v)] for u, v in g.edges])
-
-
 def forman_kappa(f, w):
     """kappa = -(F w) / w with F the Forman flow generator; an exact zero is +0.
 
@@ -101,14 +92,12 @@ def forman_kappa(f, w):
 def forman_edge(g, omega, e):
     """Weighted Forman curvature of the edge e = (u, v), face-free form."""
     g.m2_of(*e)  # GraphError unless e is an edge
-    return forman_vector(g, omega).values[edge_key(*e)]
+    return float(forman_vector(g, omega)[g.edge_index[edge_key(*e)]])
 
 
 def forman_vector(g, omega):
-    """Forman curvature of every edge, from one flow matrix."""
-    kappa = forman_kappa(build_flow_matrix(g).F, omega.vector(g))
-    keys = [edge_key(u, v) for u, v in g.edges]
-    return CurvatureVector(dict(zip(keys, kappa.tolist())), kind="forman")
+    """Forman curvature of every edge, in edge order, from one flow matrix."""
+    return forman_kappa(build_flow_matrix(g).F, omega.vector(g))
 
 
 def kernel(g, x, eps):
@@ -200,11 +189,12 @@ def lly_edge(g, omega, e):
     g.m2_of(x, y)  # GraphError unless e is an edge
     if k in {edge_key(*b) for b in surgery_scan(g, omega)}:
         raise DegenerateMetric(f"edge ({x!r}, {y!r}) is not the strict shortest path")
-    return _lly_lp(g, *_lipschitz_rows(g, omega.vector(g)), x, y, omega.weights[k])
+    w = omega.vector(g)
+    return _lly_lp(g, *_lipschitz_rows(g, w), x, y, float(w[g.edge_index[k]]))
 
 
 def lly_vector(g, omega):
-    """Lin-Lu-Yau curvature of every edge (one LP per edge).
+    """Lin-Lu-Yau curvature of every edge, in edge order (one LP per edge).
 
     One ``surgery_scan`` checks every edge first; DegenerateMetric names
     each edge that is not strict.  The LPs share one set of Lipschitz
@@ -215,10 +205,9 @@ def lly_vector(g, omega):
         raise DegenerateMetric(f"metric is degenerate on edges {bad}")
     w = omega.vector(g)
     rows = _lipschitz_rows(g, w)
-    values = {}
-    for (u, v), d in zip(g.edges, w.tolist()):
-        values[edge_key(u, v)] = _lly_lp(g, *rows, u, v, d)
-    return CurvatureVector(values, kind="lly")
+    return np.array(
+        [_lly_lp(g, *rows, u, v, d) for (u, v), d in zip(g.edges, w.tolist())]
+    )
 
 
 def default_epsilon(g):

@@ -5,7 +5,8 @@ solution omega(t, e_l) = sum_i c_i(e_l) exp(lambda_i t).  The Lin-Lu-Yau
 flow on general graphs is nonlinear (the curvature is an LP value) and is
 integrated with classical RK4 plus surgery; on trees the two curvatures
 coincide, which both speeds up the integrator and gives the exact solution
-as a cross-check.
+as a cross-check.  A trajectory keeps its samples as arrays: per edge set,
+the sample times and one omega row and one kappa row per sample.
 """
 
 from __future__ import annotations
@@ -15,14 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import CurvatureVector, forman_kappa, lly_vector
-from .graph import (
-    MetricAssignment,
-    apply_surgery,
-    edge_key,
-    is_tree,
+from .curvature import forman_kappa, lly_vector
+from .graph import MetricAssignment, apply_surgery, edge_key, is_tree
+from .spectral import (
+    ConvergenceFailure,
+    build_flow_matrix,
+    eigendecompose,
+    flow_coefficients,
 )
-from .spectral import build_flow_matrix, eigendecompose, flow_coefficients
 
 SAMPLE_EVERY_THRESHOLD = 64  # edges; beyond this keep every 10th step
 MAX_STEP_HALVINGS = 20
@@ -44,7 +45,6 @@ class FlowTrajectory:
     columns in that graph's edge order; it may hold no samples.
     """
 
-    kind: str  # "forman" or "lly"
     graph_snapshots: list
     segments: list
     surgeries: list = field(default_factory=list)
@@ -52,22 +52,6 @@ class FlowTrajectory:
     @property
     def times(self):
         return [float(t) for times, _, _ in self.segments for t in times]
-
-    @property
-    def samples(self):
-        """Per-sample list of (t, MetricAssignment, CurvatureVector), built on demand."""
-        out = []
-        for g, (times, omega, kappa) in zip(self.graph_snapshots, self.segments):
-            keys = [edge_key(u, v) for u, v in g.edges]
-            for t, w_row, k_row in zip(times, omega, kappa):
-                out.append(
-                    (
-                        float(t),
-                        MetricAssignment(dict(zip(keys, w_row))),
-                        CurvatureVector(dict(zip(keys, k_row)), kind=self.kind),
-                    )
-                )
-        return out
 
     def final_graph(self):
         return self.graph_snapshots[-1]
@@ -92,7 +76,8 @@ def forman_flow_exact(g, omega0, times):
     """Evaluate the exact spectral Forman-flow solution at the given times.
 
     The linear flow is globally defined and positivity-preserving, so no
-    surgery is applied.
+    surgery is applied.  ConvergenceFailure if a weight overflows or
+    underflows to zero, or a curvature is not finite, at some time.
     """
     tarr = np.asarray(times, dtype=float)
     # negated comparisons also reject nan times
@@ -101,11 +86,16 @@ def forman_flow_exact(g, omega0, times):
     fm = build_flow_matrix(g)
     sd = eigendecompose(fm)
     coeff = flow_coefficients(sd, fm, omega0.vector(g))
-    # omega[s, l] = sum_i coeff[i, l] exp(lambda_i t_s)
-    w = np.exp(np.outer(tarr, sd.eigenvalues)) @ coeff
-    kappa = forman_kappa(fm.F, w)
+    with np.errstate(all="ignore"):  # a nonfinite result is raised just below
+        # omega[s, l] = sum_i coeff[i, l] exp(lambda_i t_s)
+        w = np.exp(np.outer(tarr, sd.eigenvalues)) @ coeff
+        kappa = forman_kappa(fm.F, w)
+    ok = ((w > 0.0) & (w < np.inf) & np.isfinite(kappa)).all(axis=1)
+    if not ok.all():
+        raise ConvergenceFailure(
+            f"Forman flow leaves the floating-point range at t={tarr[ok.argmin()]:g}"
+        )
     return FlowTrajectory(
-        kind="forman",
         graph_snapshots=[g],
         segments=[_segment(g, tarr, w, kappa)],
     )
@@ -131,31 +121,18 @@ def _lly_kappa_fn(g):
     if is_tree(g):
         f = build_flow_matrix(g).F
         return lambda w_vec: forman_kappa(f, w_vec)
-    return lambda w_vec: lly_vector(
-        g, MetricAssignment.from_vector(g, w_vec)
-    ).vector(g)
+    return lambda w_vec: lly_vector(g, MetricAssignment.from_vector(g, w_vec))
 
 
 def _rk4_step(kappa_fn, w, h):
     """One RK4 step of dw/dt = -kappa(w) * w; None if positivity breaks."""
-
-    def deriv(state):
+    ks = []
+    for c in (0.0, 0.5, 0.5, 1.0):
+        state = w + c * h * ks[-1] if ks else w
         if np.any(state <= 0.0):
             return None
-        return -kappa_fn(state) * state
-
-    k1 = deriv(w)
-    if k1 is None:
-        return None
-    k2 = deriv(w + 0.5 * h * k1)
-    if k2 is None:
-        return None
-    k3 = deriv(w + 0.5 * h * k2)
-    if k3 is None:
-        return None
-    k4 = deriv(w + h * k3)
-    if k4 is None:
-        return None
+        ks.append(-kappa_fn(state) * state)
+    k1, k2, k3, k4 = ks
     out = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if np.any(out <= 0.0):
         return None
@@ -242,7 +219,6 @@ def lly_flow_integrate(g, omega0, t_end, dt, surgery=True):
             record(t, w)
 
     return FlowTrajectory(
-        kind="lly",
         graph_snapshots=snapshots,
         segments=[_segment(s, *r) for s, r in zip(snapshots, rows)],
         surgeries=surgeries,
@@ -252,7 +228,6 @@ def lly_flow_integrate(g, omega0, t_end, dt, surgery=True):
 def normalized_trajectory(traj):
     """Rescale every sample so its weights sum to 1; curvature is unchanged."""
     return FlowTrajectory(
-        kind=traj.kind,
         graph_snapshots=list(traj.graph_snapshots),
         segments=[
             (times, omega / _row_totals(omega)[:, None], kappa)

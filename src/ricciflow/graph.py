@@ -2,7 +2,8 @@
 
 A measured graph carries a positive vertex measure m1 and a positive,
 symmetric edge measure m2.  The evolving quantity is a separate metric
-(edge weight) assignment omega; distances between vertices are shortest
+(edge weight) assignment omega, an array in the order of ``edges`` like
+every per-edge value in the package; distances between vertices are shortest
 omega-weighted path lengths, all read from one matrix (``distance_matrix``).
 An edge e = (x, y) is strict while omega(e) < d_alt - SURGERY_TOL, with
 d_alt the shortest x-y path avoiding e; ``surgery_scan`` is the one test of
@@ -145,38 +146,41 @@ class MeasuredGraph:
         return MeasuredGraph(self.vertices, edges, dict(self.m1), m2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricAssignment:
-    """Positive weight omega per edge, keyed like m2."""
+    """Positive weight omega per edge, as a read-only array in edge order.
 
-    weights: dict  # edge_key -> positive weight
+    ``values[i]`` is the weight of ``edges[i]``; ``edges`` is the edge tuple
+    of the graph the metric was built for.
+    """
+
+    edges: tuple
+    values: np.ndarray
 
     def __post_init__(self):
-        for k, w in self.weights.items():
-            if w <= 0.0:
-                raise GraphError(f"omega{tuple(k)} must be positive")
+        values = np.array(self.values, dtype=float)
+        if values.shape != (len(self.edges),):
+            raise GraphError("weight vector length does not match edge count")
+        bad = np.flatnonzero(values <= 0.0)  # nan passes
+        if bad.size:
+            k = edge_key(*self.edges[bad[0]])
+            raise GraphError(f"omega{tuple(k)} must be positive")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     @classmethod
-    def uniform(cls, g, value=1.0):
-        return cls({edge_key(u, v): float(value) for u, v in g.edges})
+    def uniform(cls, g):
+        return cls(g.edges, np.ones(g.n_edges))
 
     @classmethod
     def from_vector(cls, g, vec):
-        if len(vec) != g.n_edges:
-            raise GraphError("weight vector length does not match edge count")
-        return cls({edge_key(u, v): float(vec[i]) for i, (u, v) in enumerate(g.edges)})
-
-    def weight(self, u, v):
-        return self.weights[edge_key(u, v)]
+        return cls(g.edges, vec)
 
     def vector(self, g):
-        return np.array([self.weights[edge_key(u, v)] for u, v in g.edges])
-
-    def restricted_to(self, g):
-        """Weights for the edges of g only (used after surgery)."""
-        return MetricAssignment(
-            {edge_key(u, v): self.weights[edge_key(u, v)] for u, v in g.edges}
-        )
+        """The weights, in the order of ``g.edges``; g must have this metric's edges."""
+        if g.edges != self.edges:
+            raise GraphError("metric was built for another edge tuple")
+        return self.values
 
 
 @dataclass(frozen=True)
@@ -329,12 +333,13 @@ def apply_surgery(g, omega, t=0.0):
         if not bad:
             break
         u, v = bad[0]
+        w, i = omega.vector(g), g.edge_index[edge_key(u, v)]
         alt = shortest_distance(g, omega, u, v, excluded_edge=(u, v))
         events.append(
             SurgeryEvent(
                 time=t,
                 removed_edge=(u, v),
-                edge_weight=omega.weights[edge_key(u, v)],
+                edge_weight=float(w[i]),
                 alternative_distance=alt,
             )
         )
@@ -344,7 +349,7 @@ def apply_surgery(g, omega, t=0.0):
             raise DisconnectedAfterSurgery(
                 f"removing edge ({u!r}, {v!r}) at t={t} disconnects the graph"
             ) from exc
-        omega = omega.restricted_to(g)
+        omega = MetricAssignment.from_vector(g, np.delete(w, i))
     return g, omega, events
 
 
@@ -392,8 +397,7 @@ def parse_graph_text(text):
         raise GraphParseError(f"bad header counts: {lines[0]!r}") from exc
 
     vertices, edges = [], []
-    m1, m2, w0 = {}, {}, {}
-    has_w0 = False
+    m1, m2, w0 = {}, {}, []
     for line in lines[1:]:
         parts = line.split()
         if parts[0] == "vertex":
@@ -408,8 +412,7 @@ def parse_graph_text(text):
             u, v = parts[1], parts[2]
             m2[edge_key(u, v)] = _parse_finite(parts[3], "edge measure", line)
             if len(parts) == 5:
-                w0[edge_key(u, v)] = _parse_finite(parts[4], "edge omega0", line)
-                has_w0 = True
+                w0.append(_parse_finite(parts[4], "edge omega0", line))
             edges.append((u, v))
         else:
             raise GraphParseError(f"unexpected line: {line!r}")
@@ -422,12 +425,11 @@ def parse_graph_text(text):
         g = MeasuredGraph(tuple(vertices), tuple(edges), m1, m2)
     except GraphError as exc:
         raise GraphParseError(str(exc)) from exc
-    omega0 = None
-    if has_w0:
-        if len(w0) != ne:
-            raise GraphParseError("omega0 given for some edges but not all")
-        omega0 = MetricAssignment(w0)
-    return g, omega0
+    if not w0:
+        return g, None
+    if len(w0) != ne:
+        raise GraphParseError("omega0 given for some edges but not all")
+    return g, MetricAssignment.from_vector(g, w0)
 
 
 def load_graph(path):

@@ -4,7 +4,8 @@ The linear Forman flow d omega/dt = F omega is analyzed through the
 symmetrized matrix Ftilde = M F M^-1 with M = diag(sqrt(m2)).  Ftilde is
 irreducible with nonnegative off-diagonal, so its top eigenvalue is simple
 with a positive eigenvector; that Perron pair determines the long-time
-behavior of the flow and the limiting normalized metric.
+behavior of the flow and the limiting normalized metric.  Per-edge inputs
+and outputs (omega, target curvatures, the limit) are arrays in edge order.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import MetricAssignment, edge_key, is_tree
+from .graph import GraphError, MetricAssignment, edge_key, is_tree
 
 VANISHING = "vanishing"
 CONSTANT_METRIC = "constant_metric"
@@ -85,7 +86,7 @@ class ConvergenceReport:
     classification: str
     lambda_max: float
     limiting_curvature: float
-    limiting_normalized_metric: dict  # edge_key -> positive weight, sums to 1
+    limiting_normalized_metric: np.ndarray  # positive, in edge order, sums to 1
     bounds: tuple  # (lower, upper) with lower <= -lambda_max <= upper
 
 
@@ -235,14 +236,14 @@ def curvature_bounds(g):
     return build_flow_matrix(g).bounds()
 
 
-def classify_convergence(g, omega0, tol_zero=DEFAULT_TOL_ZERO):
+def classify_convergence(g, tol_zero=DEFAULT_TOL_ZERO):
     """Classify the long-time behavior of the Forman flow on g.
 
     vanishing if lambda_max < -tol_zero, constant_metric if
     |lambda_max| <= tol_zero, divergent otherwise.  The limiting
     normalized metric is the Perron direction pulled back through M.
     The result depends only on the graph and its measures: every positive
-    initial metric has the same limit, so ``omega0`` is not read.
+    initial metric has the same limit.
     """
     fm = build_flow_matrix(g)
     sd = eigendecompose(fm)
@@ -254,13 +255,11 @@ def classify_convergence(g, omega0, tol_zero=DEFAULT_TOL_ZERO):
     else:
         classification = DIVERGENT
     shape = sd.perron_vector / fm.sqrt_m2
-    shape = shape / np.sum(shape)
-    limiting = {edge_key(u, v): float(shape[i]) for i, (u, v) in enumerate(g.edges)}
     return ConvergenceReport(
         classification=classification,
         lambda_max=lam,
         limiting_curvature=-lam,
-        limiting_normalized_metric=limiting,
+        limiting_normalized_metric=shape / np.sum(shape),
         bounds=fm.bounds(),
     )
 
@@ -276,15 +275,16 @@ class InverseResult:
 def inverse_curvature(g, kappa_target, tol=DEFAULT_TOL_ZERO):
     """Find a positive metric realizing the target Forman curvature vector.
 
-    Builds K = Ftilde + diag(kappa); a positive solution exists iff
+    ``kappa_target`` holds one curvature per edge, in edge order.  Builds
+    K = Ftilde + diag(kappa); a positive solution exists iff
     lambda_max(K) = 0, in which case the metric is M^-1 times the Perron
     eigenvector of K.  Absence is a valid answer and carries the
     diagnostic lambda_max(K).
     """
+    kappa = np.asarray(kappa_target, dtype=float)
+    if kappa.shape != (g.n_edges,):
+        raise GraphError(f"kappa target needs {g.n_edges} values, got {kappa.size}")
     fm = build_flow_matrix(g)
-    kappa = np.array(
-        [kappa_target[edge_key(u, v)] for u, v in g.edges], dtype=float
-    )
     k = fm.Ftilde + np.diag(kappa)
     w, p = _perron_eigh(k)
     lam = float(w[-1])

@@ -1,4 +1,4 @@
-"""Shared helpers: deterministic random graph generators."""
+"""Shared helpers: deterministic random graph generators, trajectory samples."""
 
 import numpy as np
 import pytest
@@ -87,3 +87,8 @@ def build_measured(rng, n_vertices, edges, uniform=True):
 
 def random_metric(rng, g, low=0.5, high=2.0):
     return MetricAssignment.from_vector(g, rng.uniform(low, high, g.n_edges))
+
+
+def trajectory_samples(traj):
+    """(t, omega row, kappa row) per sample, read from the trajectory segments."""
+    return [sample for segment in traj.segments for sample in zip(*segment)]

@@ -230,6 +230,23 @@ class TestFlowCommand:
         assert header == ["t", "edge_id", "omega", "alt_distance"]
         assert len(rows) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--named", "star:6", "--t-end", "2000", "--dt", "1"],
+            ["--named", "path:3", "--t-end", "1e5", "--dt", "1"],
+        ],
+        ids=["star6_overflow", "path3_underflow"],
+    )
+    def test_forman_flow_past_float_range_is_numerical_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning on stderr either
+            code = main(["flow", "--kind", "forman", *argv, "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert "numerical failure" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
     def test_bad_dt(self, tmp_path):
         code = main(
             [
@@ -335,6 +352,25 @@ class TestNonFiniteInput:
             signal.signal(signal.SIGALRM, previous)
         assert code == EXIT_INPUT
         assert "finite" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize(
+        "argv, env",
+        [
+            (["classify", "--named", "star:3", "--tol-zero", "-1"], {}),
+            (["classify", "--named", "star:3"], {"RICCI_TOL_ZERO": "-1e-9"}),
+            (["inverse", "--named", "star:3", "--kappa", "0,0,0", "--tol", "-1"], {}),
+        ],
+        ids=["tol_zero_flag", "tol_zero_env", "inverse_tol"],
+    )
+    def test_negative_tolerances_are_input_errors(
+        self, tmp_path, capsys, monkeypatch, argv, env
+    ):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == EXIT_INPUT
+        assert "nonnegative" in capsys.readouterr().err
         assert os.listdir(out) == []
 
     @pytest.mark.parametrize(

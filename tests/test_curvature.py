@@ -12,6 +12,7 @@ from ricciflow import (
     default_epsilon,
     edge_key,
     forman_edge,
+    forman_vector,
     is_tree,
     kernel,
     lly_edge,
@@ -41,7 +42,7 @@ class TestForman:
         rng = np.random.default_rng(seed)
         g = random_connected_graph(rng, 7, 2, uniform_measures=False)
         w = random_metric(rng, g)
-        scaled = MetricAssignment({k: 3.7 * v for k, v in w.weights.items()})
+        scaled = MetricAssignment.from_vector(g, 3.7 * w.vector(g))
         for e in g.edges:
             assert forman_edge(g, scaled, e) == pytest.approx(forman_edge(g, w, e))
 
@@ -53,6 +54,7 @@ class TestForman:
         n = int(rng.integers(2, 10))
         g = random_connected_graph(rng, n, int(rng.integers(0, 6)), uniform_measures=False)
         w = random_metric(rng, g, 0.1, 10.0)
+        weight = {k: w.vector(g)[i] for k, i in g.edge_index.items()}
         for u, v in g.edges:
             k = edge_key(u, v)
             terms = [g.m2[k] / g.m1[u], g.m2[k] / g.m1[v]]
@@ -60,9 +62,27 @@ class TestForman:
                 for a, b in g.edges:
                     other = edge_key(a, b)
                     if x in other and other != k:
-                        terms.append(-(g.m2[other] / g.m1[x]) * (w.weights[other] / w.weights[k]))
+                        terms.append(-(g.m2[other] / g.m1[x]) * (weight[other] / weight[k]))
             scale = sum(abs(t) for t in terms)
             assert abs(forman_edge(g, w, (u, v)) - sum(terms)) <= 1e-12 * scale
+
+
+class TestCurvatureVectors:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_arrays_in_edge_order_equal_edge_values(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        if seed % 2:
+            g = random_tree(rng, 7, uniform_measures=False)
+        else:
+            g = random_connected_graph(rng, 7, 3, uniform_measures=False)
+        # a detour has at least two edges of weight >= 1, so every edge is strict
+        w = random_metric(rng, g, 1.0, 1.9)
+        for vector, edge in ((forman_vector, forman_edge), (lly_vector, lly_edge)):
+            values = vector(g, w)
+            assert isinstance(values, np.ndarray) and values.dtype == np.float64
+            assert values.shape == (g.n_edges,)
+            expected = np.array([edge(g, w, e) for e in g.edges])
+            assert values.tobytes() == expected.tobytes(), vector.__name__
 
 
 class TestKernel:
@@ -176,16 +196,16 @@ class TestLLY:
         g = make_graph(rng)
         # a detour has at least two edges of weight >= 1, so every edge is strict
         w = random_metric(rng, g, 1.0, 1.9)
-        values = lly_vector(g, w).values
-        for u, v in g.edges:
-            assert values[edge_key(u, v)] == lly_edge(g, w, (u, v))
+        values = lly_vector(g, w)
+        for i, (u, v) in enumerate(g.edges):
+            assert values[i] == lly_edge(g, w, (u, v))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_scaling_invariance(self, seed):
         rng = np.random.default_rng(40 + seed)
         g = build_named_graph("cycle", 5)
         w = random_metric(rng, g, 0.9, 1.1)
-        scaled = MetricAssignment({k: 0.37 * v for k, v in w.weights.items()})
+        scaled = MetricAssignment.from_vector(g, 0.37 * w.vector(g))
         for e in g.edges:
             assert lly_edge(g, scaled, e) == pytest.approx(lly_edge(g, w, e), abs=1e-9)
 

@@ -23,7 +23,12 @@ from ricciflow import (
 from ricciflow.curvature import forman_kappa
 from ricciflow.flow import CSV_BLOCK_SAMPLES, atomic_write
 from ricciflow.spectral import build_flow_matrix
-from conftest import random_connected_graph, random_metric, random_tree
+from conftest import (
+    random_connected_graph,
+    random_metric,
+    random_tree,
+    trajectory_samples,
+)
 
 
 def metric_vec(g, omega):
@@ -35,41 +40,41 @@ class TestFormanFlowExact:
         g = build_named_graph("path", 1)
         w0 = MetricAssignment.uniform(g)
         traj = forman_flow_exact(g, w0, [0.0, 0.5, 1.0, 2.0])
-        for t, omega, kappa in traj.samples:
-            (w,) = omega.weights.values()
+        for t, omega, kappa in trajectory_samples(traj):
+            (w,) = omega
             assert w == pytest.approx(math.exp(-2.0 * t), rel=1e-12)
-            (kap,) = kappa.values.values()
+            (kap,) = kappa
             assert kap == pytest.approx(2.0, abs=1e-12)
 
     def test_star3_uniform_fixed_point(self):
         g = build_named_graph("star", 3)
         w0 = MetricAssignment.uniform(g)
         traj = forman_flow_exact(g, w0, [0.0, 1.0, 10.0])
-        for _, omega, kappa in traj.samples:
-            assert np.allclose(list(omega.weights.values()), 1.0, atol=1e-10)
-            assert np.allclose(list(kappa.values.values()), 0.0, atol=1e-10)
+        for _, omega, kappa in trajectory_samples(traj):
+            assert np.allclose(omega, 1.0, atol=1e-10)
+            assert np.allclose(kappa, 0.0, atol=1e-10)
 
     def test_star3_converges_to_average(self):
         g = build_named_graph("star", 3)
         w0 = MetricAssignment.from_vector(g, [1.0, 2.0, 3.0])
         traj = forman_flow_exact(g, w0, [0.0, 50.0])
-        _, omega, _ = traj.samples[-1]
-        assert np.allclose(list(omega.weights.values()), 2.0, atol=1e-10)
+        _, omega, _ = trajectory_samples(traj)[-1]
+        assert np.allclose(omega, 2.0, atol=1e-10)
 
     def test_initial_condition_reproduced(self):
         rng = np.random.default_rng(0)
         g = random_tree(rng, 7, uniform_measures=False)
         w0 = random_metric(rng, g)
         traj = forman_flow_exact(g, w0, [0.0])
-        _, omega, _ = traj.samples[0]
-        for k, v in w0.weights.items():
-            assert omega.weights[k] == pytest.approx(v, abs=1e-10)
+        _, omega, _ = trajectory_samples(traj)[0]
+        for i, v in enumerate(w0.vector(g)):
+            assert omega[i] == pytest.approx(v, abs=1e-10)
 
     def test_path_vanishes(self):
         g = build_named_graph("path", 5)
         traj = forman_flow_exact(g, MetricAssignment.uniform(g), [0.0, 80.0])
-        _, omega, _ = traj.samples[-1]
-        assert max(omega.weights.values()) < 1e-6
+        _, omega, _ = trajectory_samples(traj)[-1]
+        assert max(omega) < 1e-6
 
     def test_rejects_bad_times(self):
         g = build_named_graph("path", 2)
@@ -113,8 +118,8 @@ class TestFormanFlowExact:
         g = random_tree(rng, 8, uniform_measures=False)
         w0 = random_metric(rng, g)
         traj = forman_flow_exact(g, w0, np.linspace(0.0, 5.0, 11))
-        for _, omega, _ in traj.samples:
-            assert all(v > 0 for v in omega.weights.values())
+        for _, omega, _ in trajectory_samples(traj):
+            assert all(v > 0 for v in omega)
 
 
 class TestNormalizedState:
@@ -122,7 +127,7 @@ class TestNormalizedState:
         g = build_named_graph("star", 6)
         w0 = MetricAssignment.uniform(g)
         shape = normalized_flow_state(g, w0, 1e6)
-        vals = list(shape.weights.values())
+        vals = list(shape.vector(g))
         assert all(math.isfinite(v) and v > 0 for v in vals)
         assert sum(vals) == pytest.approx(1.0, abs=1e-12)
 
@@ -132,11 +137,11 @@ class TestNormalizedState:
         t = 2.0
         shape = normalized_flow_state(g, w0, t)
         traj = forman_flow_exact(g, w0, [t])
-        _, omega, _ = traj.samples[0]
-        total = sum(omega.weights.values())
-        for k in omega.weights:
-            assert shape.weights[k] == pytest.approx(
-                omega.weights[k] / total, abs=1e-10
+        _, omega, _ = trajectory_samples(traj)[0]
+        total = sum(omega)
+        for k in range(g.n_edges):
+            assert shape.vector(g)[k] == pytest.approx(
+                omega[k] / total, abs=1e-10
             )
 
 
@@ -147,28 +152,30 @@ class TestLLYIntegration:
         w0 = random_metric(rng, g)
         traj = lly_flow_integrate(g, w0, 1.0, 1e-3)
         exact = forman_flow_exact(g, w0, traj.times[1:])
-        for (t, omega, _), (te, we, _) in zip(traj.samples[1:], exact.samples):
+        for (t, omega, _), (te, we, _) in zip(
+            trajectory_samples(traj)[1:], trajectory_samples(exact)
+        ):
             assert t == pytest.approx(te)
-            for k in omega.weights:
-                assert omega.weights[k] == pytest.approx(we.weights[k], abs=1e-6)
+            for k in range(g.n_edges):
+                assert omega[k] == pytest.approx(we[k], abs=1e-6)
 
     def test_triangle_symmetric_decay(self):
         g = build_named_graph("cycle", 3)
         w0 = MetricAssignment.uniform(g)
         traj = lly_flow_integrate(g, w0, 0.2, 1e-2)
-        t0, _, kappa0 = traj.samples[0]
-        assert np.allclose(list(kappa0.values.values()), 3.0, atol=1e-8)
-        for _, omega, _ in traj.samples:
-            vals = list(omega.weights.values())
+        t0, _, kappa0 = trajectory_samples(traj)[0]
+        assert np.allclose(kappa0, 3.0, atol=1e-8)
+        for _, omega, _ in trajectory_samples(traj):
+            vals = list(omega)
             assert max(vals) - min(vals) < 1e-9  # symmetry preserved
             assert all(v > 0 for v in vals)
-        assert max(traj.samples[-1][1].weights.values()) < 1.0
+        assert max(trajectory_samples(traj)[-1][1]) < 1.0
 
     def test_zero_horizon(self):
         g = build_named_graph("cycle", 5)
         w0 = MetricAssignment.uniform(g)
         traj = lly_flow_integrate(g, w0, 0.0, 1e-2)
-        assert len(traj.samples) == 1
+        assert len(trajectory_samples(traj)) == 1
         assert traj.times == [0.0]
         assert traj.surgeries == []
 
@@ -194,15 +201,12 @@ class TestLLYIntegration:
         w0 = MetricAssignment.from_vector(g, [1.0, 1.1, 0.9, 1.05, 0.95])
         dt = 1e-3
         traj = lly_flow_integrate(g, w0, 0.05, dt)
-        for (t0, w_a, k_a), (t1, w_b, k_b) in zip(
-            traj.samples, traj.samples[1:]
-        ):
-            lhs = (sum(w_b.weights.values()) - sum(w_a.weights.values())) / (
-                t1 - t0
-            )
+        samples = trajectory_samples(traj)
+        for (t0, w_a, k_a), (t1, w_b, k_b) in zip(samples, samples[1:]):
+            lhs = (sum(w_b) - sum(w_a)) / (t1 - t0)
             rhs = -0.5 * (
-                sum(k_a.values[k] * w_a.weights[k] for k in w_a.weights)
-                + sum(k_b.values[k] * w_b.weights[k] for k in w_b.weights)
+                sum(k_a[k] * w_a[k] for k in range(g.n_edges))
+                + sum(k_b[k] * w_b[k] for k in range(g.n_edges))
             )
             assert lhs == pytest.approx(rhs, abs=1e-5)
 
@@ -216,8 +220,8 @@ class TestLLYIntegration:
         assert traj.surgeries[0].removed_edge == g.edges[3]
         assert traj.final_graph().n_edges == 3
         assert len(traj.graph_snapshots) == 2
-        for _, omega, _ in traj.samples:
-            assert all(v > 0 for v in omega.weights.values())
+        for _, omega, _ in trajectory_samples(traj):
+            assert all(v > 0 for v in omega)
 
     def test_no_surgery_flag(self):
         g = build_named_graph("cycle", 4)
@@ -245,8 +249,8 @@ class TestLLYIntegration:
         g = build_named_graph("star", 3)
         w0 = MetricAssignment.from_vector(g, [1.0, 2.0, 3.0])
         traj = lly_flow_integrate(g, w0, 30.0, 1e-2)
-        _, omega, _ = traj.samples[-1]
-        assert np.allclose(list(omega.weights.values()), 2.0, atol=1e-6)
+        _, omega, _ = trajectory_samples(traj)[-1]
+        assert np.allclose(omega, 2.0, atol=1e-6)
 
 
 class TestNormalizedTrajectory:
@@ -254,16 +258,18 @@ class TestNormalizedTrajectory:
         g = build_named_graph("path", 3)
         w0 = MetricAssignment.from_vector(g, [1.0, 2.0, 3.0])
         traj = normalized_trajectory(lly_flow_integrate(g, w0, 0.5, 1e-2))
-        for _, omega, _ in traj.samples:
-            assert sum(omega.weights.values()) == pytest.approx(1.0, abs=1e-12)
+        for _, omega, _ in trajectory_samples(traj):
+            assert sum(omega) == pytest.approx(1.0, abs=1e-12)
 
     def test_curvature_untouched(self):
         g = build_named_graph("cycle", 5)
         w0 = MetricAssignment.uniform(g)
         raw = lly_flow_integrate(g, w0, 0.1, 1e-2)
         norm = normalized_trajectory(raw)
-        for (_, _, ka), (_, _, kb) in zip(raw.samples, norm.samples):
-            assert ka.values == kb.values
+        for (_, _, ka), (_, _, kb) in zip(
+            trajectory_samples(raw), trajectory_samples(norm)
+        ):
+            assert np.array_equal(ka, kb)
 
 
 class TestResidual:
@@ -306,7 +312,7 @@ class TestCsvExport:
         write_trajectory_csv(traj, g, out)
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "t,edge_id,omega,omega_normalized,kappa"
-        assert len(lines) == 1 + len(traj.samples) * g.n_edges
+        assert len(lines) == 1 + len(traj.times) * g.n_edges
         t, edge_id, w, wn, kap = lines[1].split(",")
         assert float(t) == 0.0
         assert edge_id == "0-1"
@@ -339,18 +345,18 @@ class TestCsvExport:
         write_trajectory_csv(traj, g, out)
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert removed not in {edge_id for _, edge_id, _, _, _ in rows}
-        assert len(rows) == len(traj.samples) * 3
+        assert len(rows) == len(traj.times) * 3
+        index = traj.final_graph().edge_index
         for (t, omega, _), block in zip(
-            traj.samples, [rows[i : i + 3] for i in range(0, len(rows), 3)]
+            trajectory_samples(traj), [rows[i : i + 3] for i in range(0, len(rows), 3)]
         ):
-            total = sum(omega.weights.values())
+            total = sum(omega)
             for row_t, edge_id, w, wn, _ in block:
                 u, v = (int(x) for x in edge_id.split("-"))
+                weight = omega[index[edge_key(u, v)]]
                 assert float(row_t) == pytest.approx(t)
-                assert float(w) == pytest.approx(omega.weight(u, v), rel=1e-11)
-                assert float(wn) == pytest.approx(
-                    omega.weight(u, v) / total, rel=1e-11
-                )
+                assert float(w) == pytest.approx(weight, rel=1e-11)
+                assert float(wn) == pytest.approx(weight / total, rel=1e-11)
 
     def test_deterministic_bytes(self, tmp_path):
         g = build_named_graph("cycle", 5)

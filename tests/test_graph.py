@@ -44,7 +44,7 @@ def brute_force_distance(g, omega, u, v, excluded_edge=None):
             k = edge_key(x, y)
             if k == skip or y in seen:
                 continue
-            walk(y, seen | {y}, acc + omega.weights[k])
+            walk(y, seen | {y}, acc + omega.values[g.edge_index[k]])
 
     walk(u, {u}, 0.0)
     return best
@@ -109,7 +109,7 @@ class TestConstruction:
         with pytest.raises(GraphError):
             MeasuredGraph((0, 1), ((0, 1),), {0: 0.0, 1: 1.0}, {edge_key(0, 1): 1.0})
         with pytest.raises(GraphError):
-            MetricAssignment({edge_key(0, 1): 0.0})
+            MetricAssignment(((0, 1),), [0.0])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_nonfinite_measures(self, bad):
@@ -119,6 +119,39 @@ class TestConstruction:
             MeasuredGraph((0, 1), ((0, 1),), {0: 1.0, 1: 1.0}, {edge_key(0, 1): bad})
         with pytest.raises(GraphError, match="finite"):
             build_named_graph("star", 3, "normalized_deg1", m2_values=[1.0, bad, 1.0])
+
+
+class TestMetricAssignment:
+    def test_rejects_wrong_length(self):
+        g = build_named_graph("path", 3)
+        for vec in ([1.0, 2.0], [1.0] * 4, [[1.0, 2.0, 3.0]]):
+            with pytest.raises(GraphError, match="length"):
+                MetricAssignment.from_vector(g, vec)
+
+    def test_rejects_graph_with_other_edges(self):
+        g = build_named_graph("cycle", 4)
+        w = MetricAssignment.from_vector(g, [1.0, 1.0, 1.0, 3.5])
+        assert w.vector(g).tolist() == [1.0, 1.0, 1.0, 3.5]
+        for other in (g.without_edge(*g.edges[3]), build_named_graph("path", 4)):
+            with pytest.raises(GraphError, match="another edge tuple"):
+                w.vector(other)
+
+    def test_values_are_a_read_only_copy(self):
+        g = build_named_graph("path", 3)
+        vec = np.array([1.0, 2.0, 3.0])
+        w = MetricAssignment.from_vector(g, vec)
+        vec[0] = 5.0
+        assert w.vector(g).dtype == float and w.vector(g).tolist() == [1.0, 2.0, 3.0]
+        with pytest.raises(ValueError):
+            w.values[0] = 5.0
+        assert w.values.tolist() == [1.0, 2.0, 3.0]
+
+    def test_nonpositive_and_nan_weights(self):
+        g = build_named_graph("path", 2)
+        with pytest.raises(GraphError, match="must be positive"):
+            MetricAssignment.from_vector(g, [1.0, -2.0])
+        # the check is omega <= 0, which nan passes
+        assert math.isnan(MetricAssignment.from_vector(g, [1.0, math.nan]).values[1])
 
 
 class TestDegMeasure:
@@ -193,8 +226,8 @@ def scan_oracle(g, w):
     """Edges e with w(e) >= (shortest path avoiding e) - SURGERY_TOL, by enumeration."""
     return [
         e
-        for e in g.edges
-        if w.weight(*e) >= brute_force_distance(g, w, *e, excluded_edge=e) - SURGERY_TOL
+        for e, we in zip(g.edges, w.values)
+        if we >= brute_force_distance(g, w, *e, excluded_edge=e) - SURGERY_TOL
     ]
 
 
@@ -358,7 +391,7 @@ edge b c 3.0 0.25
         assert g.vertices == ("a", "b", "c")
         assert g.m1["c"] == 2.0
         assert g.m2_of("b", "c") == 3.0
-        assert w0.weight("a", "b") == 0.5
+        assert w0.vector(g)[0] == 0.5
 
     def test_no_omega0(self):
         text = "graph 2 1\nvertex x 1\nvertex y 1\nedge x y 1\n"

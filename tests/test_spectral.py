@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ricciflow import (
-    MetricAssignment,
+    GraphError,
     NotATree,
     NotUniformMeasure,
     build_flow_matrix,
@@ -171,7 +171,7 @@ class TestFlowCoefficients:
 class TestClassify:
     def test_path_vanishing(self):
         g = build_named_graph("path", 5)
-        rep = classify_convergence(g, MetricAssignment.uniform(g))
+        rep = classify_convergence(g)
         assert rep.classification == VANISHING
         assert rep.limiting_curvature == pytest.approx(
             2.0 * (1.0 - math.cos(math.pi / 6.0)), abs=1e-10
@@ -179,13 +179,13 @@ class TestClassify:
 
     def test_star3_constant(self):
         g = build_named_graph("star", 3)
-        rep = classify_convergence(g, MetricAssignment.uniform(g))
+        rep = classify_convergence(g)
         assert rep.classification == CONSTANT_METRIC
         assert rep.limiting_curvature == pytest.approx(0.0, abs=1e-10)
 
     def test_star6_divergent(self):
         g = build_named_graph("star", 6)
-        rep = classify_convergence(g, MetricAssignment.uniform(g))
+        rep = classify_convergence(g)
         assert rep.classification == DIVERGENT
         assert rep.limiting_curvature == pytest.approx(-3.0, abs=1e-10)
 
@@ -193,8 +193,8 @@ class TestClassify:
     def test_report_invariants(self, seed):
         rng = np.random.default_rng(seed)
         g = random_connected_graph(rng, 7, 2, uniform_measures=False)
-        rep = classify_convergence(g, random_metric(rng, g))
-        vals = np.array(list(rep.limiting_normalized_metric.values()))
+        rep = classify_convergence(g)
+        vals = rep.limiting_normalized_metric
         assert np.all(vals > 0)
         assert vals.sum() == pytest.approx(1.0, abs=1e-10)
         lower, upper = rep.bounds
@@ -203,9 +203,9 @@ class TestClassify:
     def test_limit_independent_of_initial_metric(self):
         rng = np.random.default_rng(5)
         g = random_connected_graph(rng, 7, 3, uniform_measures=False)
-        rep1 = classify_convergence(g, random_metric(rng, g))
-        rep2 = classify_convergence(g, random_metric(rng, g))
-        for k in rep1.limiting_normalized_metric:
+        rep1 = classify_convergence(g)
+        rep2 = classify_convergence(g)
+        for k in range(g.n_edges):
             assert rep1.limiting_normalized_metric[k] == pytest.approx(
                 rep2.limiting_normalized_metric[k], abs=1e-12
             )
@@ -223,7 +223,7 @@ class TestBounds:
     def test_single_edge(self):
         g = build_named_graph("path", 1)
         assert curvature_bounds(g) == pytest.approx((2.0, 2.0))
-        rep = classify_convergence(g, MetricAssignment.uniform(g))
+        rep = classify_convergence(g)
         assert rep.limiting_curvature == pytest.approx(2.0)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -238,7 +238,7 @@ class TestBounds:
 class TestInverse:
     def test_star3_flat(self):
         g = build_named_graph("star", 3)
-        kappa = {edge_key(u, v): 0.0 for u, v in g.edges}
+        kappa = np.zeros(g.n_edges)
         res = inverse_curvature(g, kappa)
         assert res.metric is not None
         w = res.metric.vector(g)
@@ -246,7 +246,7 @@ class TestInverse:
 
     def test_p3_unit_curvature(self):
         g = build_named_graph("path", 2)
-        kappa = {edge_key(u, v): 1.0 for u, v in g.edges}
+        kappa = np.ones(g.n_edges)
         res = inverse_curvature(g, kappa)
         assert res.metric is not None
         w = res.metric.vector(g)
@@ -254,7 +254,7 @@ class TestInverse:
 
     def test_p3_flat_unsolvable(self):
         g = build_named_graph("path", 2)
-        kappa = {edge_key(u, v): 0.0 for u, v in g.edges}
+        kappa = np.zeros(g.n_edges)
         res = inverse_curvature(g, kappa)
         assert res.metric is None
         assert res.lambda_max == pytest.approx(-1.0, abs=1e-10)
@@ -264,16 +264,20 @@ class TestInverse:
         rng = np.random.default_rng(60 + seed)
         g = random_tree(rng, 7, uniform_measures=False)
         w = random_metric(rng, g)
-        kappa = {
-            edge_key(u, v): forman_edge(g, w, (u, v)) for u, v in g.edges
-        }
+        kappa = np.array([forman_edge(g, w, (u, v)) for u, v in g.edges])
         res = inverse_curvature(g, kappa, tol=1e-8)
         assert res.metric is not None
         assert abs(res.lambda_max) < 1e-9
-        for u, v in g.edges:
+        for i, (u, v) in enumerate(g.edges):
             assert forman_edge(g, res.metric, (u, v)) == pytest.approx(
-                kappa[edge_key(u, v)], abs=1e-7
+                kappa[i], abs=1e-7
             )
+
+    @pytest.mark.parametrize("kappa", [[0.0, 0.0], [0.0] * 4, [[0.0, 0.0, 0.0]]])
+    def test_rejects_wrong_length_target(self, kappa):
+        g = build_named_graph("star", 3)
+        with pytest.raises(GraphError, match="3 values"):
+            inverse_curvature(g, kappa)
 
 
 class TestTreeClassification:
