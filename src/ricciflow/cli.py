@@ -44,7 +44,7 @@ from .graph import (
     MeasuredGraph,
     MetricAssignment,
     build_named_graph,
-    edge_key,
+    edge_id,
     load_graph,
 )
 from .spectral import (
@@ -86,10 +86,6 @@ def _fnum(x):
 
 def _write_json(path, obj):
     atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def _edge_id(u, v):
-    return f"{u}-{v}"
 
 
 def _finite_float(value, what):
@@ -178,7 +174,7 @@ def cmd_curvature(args):
     lines = ["edge,forman,lly,lly_limit_estimate"]
     for i, e in enumerate(g.edges):
         row = [forman[i], lly[i], lly_limit_estimate(g, omega, e, eps)]
-        lines.append(",".join([_edge_id(*e)] + [FLOAT_FMT % x for x in row]))
+        lines.append(",".join([edge_id(*e)] + [FLOAT_FMT % x for x in row]))
     out = os.path.join(args.out, f"curvature_{name}.csv")
     atomic_write(out, "\n".join(lines) + "\n")
     print(out)
@@ -187,7 +183,7 @@ def cmd_curvature(args):
 
 def _per_edge(g, values):
     # JSON object edge id -> value, in edge order
-    return {_edge_id(u, v): _fnum(x) for (u, v), x in zip(g.edges, values)}
+    return {edge_id(u, v): _fnum(x) for (u, v), x in zip(g.edges, values)}
 
 
 def _spectrum_payload(g):
@@ -258,7 +254,7 @@ def cmd_flow(args):
     else:
         traj = lly_flow_integrate(g, omega0, t_end, dt, surgery=args.surgery)
     out = os.path.join(args.out, f"flow_{name}.csv")
-    write_trajectory_csv(traj, traj.final_graph(), out)
+    write_trajectory_csv(traj, out)
     print(out)
     if traj.surgeries:
         sout = os.path.join(args.out, f"flow_{name}_surgery.csv")
@@ -287,10 +283,7 @@ def cmd_inverse(args):
 
 def figure2_graph():
     """The 8-vertex, maximum-degree-4 tree used in the simulation figure."""
-    vertices = tuple(range(1, 9))
-    m1 = {x: 1.0 for x in vertices}
-    m2 = {edge_key(u, v): 1.0 for u, v in FIGURE2_EDGES}
-    return MeasuredGraph(vertices, FIGURE2_EDGES, m1, m2)
+    return MeasuredGraph(tuple(range(1, 9)), FIGURE2_EDGES, np.ones(8), np.ones(7))
 
 
 def figure2_initial_metric(g, delta):
@@ -305,7 +298,7 @@ def _reproduce_flow(g, omega0, name, out_dir, t_end=12.0, dt=0.01):
     times = np.arange(steps + 1) * dt
     traj = normalized_trajectory(forman_flow_exact(g, omega0, times))
     csv_path = os.path.join(out_dir, f"reproduce_{name}.csv")
-    write_trajectory_csv(traj, g, csv_path)
+    write_trajectory_csv(traj, csv_path)
     return csv_path
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from .graph import (
     deg_measure,
     distance_matrix,
-    edge_key,
+    edge_id,
     shortest_distance,
     surgery_scan,
 )
@@ -91,8 +91,7 @@ def forman_kappa(f, w):
 
 def forman_edge(g, omega, e):
     """Weighted Forman curvature of the edge e = (u, v), face-free form."""
-    g.m2_of(*e)  # GraphError unless e is an edge
-    return float(forman_vector(g, omega)[g.edge_index[edge_key(*e)]])
+    return float(forman_vector(g, omega)[g.position(*e)])
 
 
 def forman_vector(g, omega):
@@ -111,8 +110,9 @@ def kernel(g, x, eps):
             f"epsilon {eps} >= 1/Deg({x!r}) = {1.0 / deg}"
         )
     masses = {x: 1.0 - eps * deg}
-    for y, _ in g.adjacency[x]:
-        masses[y] = eps * g.m2_of(x, y) / g.m1[x]
+    m1 = float(g.m1[g.vertex_index[x]])
+    for y, j in g.adjacency[x]:
+        masses[y] = eps * float(g.m2[j]) / m1
     return ProbabilityKernel(base_vertex=x, epsilon=eps, masses=masses)
 
 
@@ -161,9 +161,10 @@ def _lly_lp(g, a_ub, b_ub, x, y, d):
     # objective: (Lap f(x) - Lap f(y)) / d, linear in f
     c = np.zeros(nv)
     for base, sign in ((x, 1.0), (y, -1.0)):
-        inv_m1 = sign / (g.m1[base] * d)
-        for z, _ in g.adjacency[base]:
-            m2v = g.m2_of(base, z)
+        # Python floats, so an overflow is an inf and not a numpy warning
+        inv_m1 = sign / (float(g.m1[vid[base]]) * d)
+        for z, j in g.adjacency[base]:
+            m2v = float(g.m2[j])
             c[vid[z]] += m2v * inv_m1
             c[vid[base]] -= m2v * inv_m1
 
@@ -185,12 +186,11 @@ def lly_edge(g, omega, e):
     DegenerateMetric is raised.  Other degenerate edges do not matter.
     """
     x, y = e
-    k = edge_key(x, y)
-    g.m2_of(x, y)  # GraphError unless e is an edge
-    if k in {edge_key(*b) for b in surgery_scan(g, omega)}:
+    i = g.position(x, y)
+    if any(j == i for j, _ in surgery_scan(g, omega)):
         raise DegenerateMetric(f"edge ({x!r}, {y!r}) is not the strict shortest path")
     w = omega.vector(g)
-    return _lly_lp(g, *_lipschitz_rows(g, w), x, y, float(w[g.edge_index[k]]))
+    return _lly_lp(g, *_lipschitz_rows(g, w), x, y, float(w[i]))
 
 
 def lly_vector(g, omega):
@@ -200,7 +200,7 @@ def lly_vector(g, omega):
     each edge that is not strict.  The LPs share one set of Lipschitz
     constraints and differ only in objective and fixed bounds.
     """
-    bad = [f"{u}-{v}" for u, v in surgery_scan(g, omega)]
+    bad = [edge_id(*g.edges[i]) for i, _ in surgery_scan(g, omega)]
     if bad:
         raise DegenerateMetric(f"metric is degenerate on edges {bad}")
     w = omega.vector(g)

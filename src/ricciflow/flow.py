@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curvature import forman_kappa, lly_vector
-from .graph import MetricAssignment, apply_surgery, edge_key, is_tree
+from .graph import MetricAssignment, apply_surgery, edge_id, is_tree
 from .spectral import (
     ConvergenceFailure,
     build_flow_matrix,
@@ -125,35 +125,45 @@ def _lly_kappa_fn(g):
 
 
 def _rk4_step(kappa_fn, w, h):
-    """One RK4 step of dw/dt = -kappa(w) * w; None if positivity breaks."""
+    """One RK4 step of dw/dt = -kappa(w) * w; None if positivity breaks.
+
+    A stage or result that is not finite is returned as it is: a smaller
+    step cannot repair an overflow, so the caller rejects it unhalved.
+    """
     ks = []
-    for c in (0.0, 0.5, 0.5, 1.0):
-        state = w + c * h * ks[-1] if ks else w
-        if np.any(state <= 0.0):
-            return None
-        ks.append(-kappa_fn(state) * state)
-    k1, k2, k3, k4 = ks
-    out = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if np.any(out <= 0.0):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in (0.0, 0.5, 0.5, 1.0):
+            state = w + c * h * ks[-1] if ks else w
+            if not np.isfinite(state).all():
+                return state
+            if np.any(state <= 0.0):
+                return None
+            ks.append(-kappa_fn(state) * state)
+        k1, k2, k3, k4 = ks
+        out = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if np.isfinite(out).all() and np.any(out <= 0.0):
         return None
     return out
 
 
+def _require_finite(t, values):
+    if not np.isfinite(values).all():
+        raise ConvergenceFailure(
+            f"Lin-Lu-Yau flow leaves the floating-point range at t={t:g}"
+        )
+
+
 def _advance(kappa_fn, w, dt):
     """Advance by dt, halving the internal step on positivity violations."""
-    pieces = 1
-    for _ in range(MAX_STEP_HALVINGS + 1):
-        h = dt / pieces
+    for halvings in range(MAX_STEP_HALVINGS + 1):
+        pieces = 2**halvings
         state = w
-        ok = True
         for _ in range(pieces):
-            state = _rk4_step(kappa_fn, state, h)
+            state = _rk4_step(kappa_fn, state, dt / pieces)
             if state is None:
-                ok = False
                 break
-        if ok:
+        else:
             return state
-        pieces *= 2
     raise StepSizeTooLarge(
         f"weights stayed nonpositive after {MAX_STEP_HALVINGS} halvings of dt={dt}"
     )
@@ -165,7 +175,8 @@ def lly_flow_integrate(g, omega0, t_end, dt, surgery=True):
     The surgery scan runs once before each accepted step; removed edges
     restart the system on the reduced graph in a new segment.  Samples are
     recorded every step for small graphs, every 10th step otherwise
-    (endpoints always).
+    (endpoints always).  ConvergenceFailure if a weight or a recorded
+    curvature is not finite.
     """
     if t_end < 0:
         raise ValueError("t_end must be nonnegative")
@@ -181,15 +192,16 @@ def lly_flow_integrate(g, omega0, t_end, dt, surgery=True):
     rows = [([], [], [])]  # (times, omega rows, kappa rows) per snapshot
 
     def record(t, w_vec):
+        with np.errstate(over="ignore", invalid="ignore"):  # raised just below
+            kappa = kappa_fn(w_vec)
+        _require_finite(t, kappa)
         times, omega_rows, kappa_rows = rows[-1]
         times.append(t)
         omega_rows.append(w_vec)
-        kappa_rows.append(kappa_fn(w_vec))
-
-    keep_every = 1 if graph.n_edges <= SAMPLE_EVERY_THRESHOLD else 10
+        kappa_rows.append(kappa)
 
     def maybe_operate(t):
-        nonlocal graph, kappa_fn, w, keep_every
+        nonlocal graph, kappa_fn, w
         cut_graph, cut, events = apply_surgery(
             graph, MetricAssignment.from_vector(graph, w), t=t
         )
@@ -200,7 +212,6 @@ def lly_flow_integrate(g, omega0, t_end, dt, surgery=True):
             rows.append(([], [], []))
             kappa_fn = _lly_kappa_fn(graph)
             w = cut.vector(graph)
-            keep_every = 1 if graph.n_edges <= SAMPLE_EVERY_THRESHOLD else 10
 
     if surgery:
         maybe_operate(0.0)
@@ -214,7 +225,9 @@ def lly_flow_integrate(g, omega0, t_end, dt, surgery=True):
         h = min(dt, t_end - t)
         w = _advance(kappa_fn, w, h)
         t += h
+        _require_finite(t, w)
         step_no += 1
+        keep_every = 1 if graph.n_edges <= SAMPLE_EVERY_THRESHOLD else 10
         if step_no % keep_every == 0 or t >= t_end - 1e-12:
             record(t, w)
 
@@ -253,27 +266,25 @@ def curvature_residual(traj):
     return float(np.max(resid))
 
 
-def write_trajectory_csv(traj, graph, path):
+def write_trajectory_csv(traj, path):
     """CSV export: t,edge_id,omega,omega_normalized,kappa.
 
-    One row per sample and edge of ``graph`` that the sample's graph still
-    has; omega_normalized divides by the sum over all of the sample's edges.
-    The file is streamed CSV_BLOCK_SAMPLES samples at a time.
+    One row per sample and edge of the trajectory's final graph, which every
+    earlier graph contains; omega_normalized divides by the sum over all of
+    the sample's edges.  The file is streamed CSV_BLOCK_SAMPLES samples at a
+    time.
     """
-    atomic_write(path, _trajectory_csv_chunks(traj, graph))
+    atomic_write(path, _trajectory_csv_chunks(traj))
 
 
-def _trajectory_csv_chunks(traj, graph):
+def _trajectory_csv_chunks(traj):
+    final = traj.final_graph()
+    # one sample's rows as a single %-template; vertex ids may hold '%'
+    ids = [edge_id(u, v).replace("%", "%%") for u, v in final.edges]
+    row = "".join(f"{FLOAT_FMT},{i},{FLOAT_FMT},{FLOAT_FMT},{FLOAT_FMT}\n" for i in ids)
     yield "t,edge_id,omega,omega_normalized,kappa\n"
     for snap, (times, omega, kappa) in zip(traj.graph_snapshots, traj.segments):
-        kept = [(u, v) for u, v in graph.edges if edge_key(u, v) in snap.edge_index]
-        cols = [snap.edge_index[edge_key(u, v)] for u, v in kept]
-        # one sample's rows as a single %-template; vertex ids may hold '%'
-        edge_ids = [f"{u}-{v}".replace("%", "%%") for u, v in kept]
-        row = "".join(
-            f"{FLOAT_FMT},{edge_id},{FLOAT_FMT},{FLOAT_FMT},{FLOAT_FMT}\n"
-            for edge_id in edge_ids
-        )
+        cols = [snap.position(u, v) for u, v in final.edges]
         for start in range(0, len(times), CSV_BLOCK_SAMPLES):
             block = slice(start, start + CSV_BLOCK_SAMPLES)
             t, w = times[block, None], omega[block]
@@ -287,20 +298,12 @@ def _trajectory_csv_chunks(traj, graph):
 
 def write_surgery_csv(traj, path):
     """CSV export of surgery events: t,edge_id,omega,alt_distance."""
-    lines = ["t,edge_id,omega,alt_distance"]
-    for ev in traj.surgeries:
-        u, v = ev.removed_edge
-        lines.append(
-            ",".join(
-                [
-                    FLOAT_FMT % ev.time,
-                    f"{u}-{v}",
-                    FLOAT_FMT % ev.edge_weight,
-                    FLOAT_FMT % ev.alternative_distance,
-                ]
-            )
-        )
-    atomic_write(path, "\n".join(lines) + "\n")
+    row = f"{FLOAT_FMT},%s,{FLOAT_FMT},{FLOAT_FMT}\n"
+    lines = [
+        row % (e.time, edge_id(*e.removed_edge), e.edge_weight, e.alternative_distance)
+        for e in traj.surgeries
+    ]
+    atomic_write(path, ["t,edge_id,omega,alt_distance\n", *lines])
 
 
 def atomic_write(path, chunks):

@@ -1,13 +1,13 @@
 """Measured weighted graphs: data model, path distances, surgery, line graphs.
 
-A measured graph carries a positive vertex measure m1 and a positive,
-symmetric edge measure m2.  The evolving quantity is a separate metric
-(edge weight) assignment omega, an array in the order of ``edges`` like
-every per-edge value in the package; distances between vertices are shortest
-omega-weighted path lengths, all read from one matrix (``distance_matrix``).
-An edge e = (x, y) is strict while omega(e) < d_alt - SURGERY_TOL, with
-d_alt the shortest x-y path avoiding e; ``surgery_scan`` is the one test of
-that rule, for surgery and for the Lin-Lu-Yau curvature alike.
+A measured graph is addressed by position: its vertex measure m1 is an
+array in ``vertices`` order, and its edge measure m2, like the metric omega
+and every per-edge value in the package, an array in ``edges`` order.
+Distances are shortest omega-weighted path lengths, all read from one matrix
+(``distance_matrix``).  An edge e = (x, y) is strict while
+omega(e) < d_alt - SURGERY_TOL, with d_alt the shortest x-y path avoiding e;
+``surgery_scan``, the one test of that rule, returns each failing edge's
+index with its d_alt.  ``edge_id`` is the one text form of an edge.
 """
 
 from __future__ import annotations
@@ -43,44 +43,64 @@ def edge_key(u, v):
     return frozenset((u, v))
 
 
-@dataclass(frozen=True)
+def edge_id(u, v):
+    """Text id ``u-v`` of the edge (u, v) in output files."""
+    return f"{u}-{v}"
+
+
+@dataclass(frozen=True, eq=False)
 class MeasuredGraph:
     """Simple connected graph, with at least one edge, vertex measure m1 and
     edge measure m2.
 
-    The order of ``edges`` fixes the edge indices used by every
-    matrix-valued operation in the package.
+    ``m1[k]`` is the measure of ``vertices[k]`` and ``m2[i]`` that of
+    ``edges[i]``, read-only, positive and finite.  The order of ``edges``
+    fixes the edge indices used by every matrix-valued operation.
     """
 
     vertices: tuple
     edges: tuple  # tuple of (u, v) pairs
-    m1: dict  # vertex -> positive measure
-    m2: dict  # edge_key -> positive measure
+    m1: np.ndarray  # in vertex order
+    m2: np.ndarray  # in edge order
 
     def __post_init__(self):
-        seen = set()
-        vset = set(self.vertices)
-        if len(vset) != len(self.vertices):
+        seen, vid = set(), self.vertex_index
+        if len(vid) != len(self.vertices):
             raise GraphError("duplicate vertex ids")
         for u, v in self.edges:
             if u == v:
                 raise GraphError(f"loop at vertex {u!r}")
-            if u not in vset or v not in vset:
+            if u not in vid or v not in vid:
                 raise GraphError(f"edge ({u!r}, {v!r}) references unknown vertex")
             k = edge_key(u, v)
             if k in seen:
                 raise GraphError(f"parallel edge ({u!r}, {v!r})")
             seen.add(k)
-        for x in self.vertices:
-            if not 0.0 < self.m1.get(x, 0.0) < math.inf:
+        m1, m2 = np.array(self.m1, dtype=float), np.array(self.m2, dtype=float)
+        if m1.shape != (len(self.vertices),) or m2.shape != (len(self.edges),):
+            raise GraphError("m1 or m2 length does not match vertex or edge count")
+        for x, m in zip(self.vertices, m1.tolist()):
+            if not 0.0 < m < math.inf:
                 raise GraphError(f"m1({x!r}) must be positive and finite")
-        for k in seen:
-            if not 0.0 < self.m2.get(k, 0.0) < math.inf:
-                raise GraphError(f"m2{tuple(k)} must be positive and finite")
+        for e, m in zip(self.edges, m2.tolist()):
+            if not 0.0 < m < math.inf:
+                raise GraphError(f"m2{tuple(edge_key(*e))} must be positive and finite")
+        m1.flags.writeable = m2.flags.writeable = False
+        object.__setattr__(self, "m1", m1)
+        object.__setattr__(self, "m2", m2)
         if not self.edges:
             raise GraphError("graph must have at least one edge")
-        if not _is_connected(self.vertices, self.edges):
+        if not self._is_connected():
             raise GraphError("graph must be connected")
+
+    def _is_connected(self):
+        seen, stack = {self.vertices[0]}, [self.vertices[0]]
+        while stack:
+            for y, _ in self.adjacency[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        return len(seen) == len(self.vertices)
 
     @property
     def n_vertices(self):
@@ -123,27 +143,24 @@ class MeasuredGraph:
         return adj
 
     def check_vertex(self, x):
-        if x not in self.m1:
+        if x not in self.vertex_index:
             raise GraphError(f"unknown vertex {x!r}")
+
+    def position(self, u, v):
+        """Index of the edge (u, v) in ``edges``; GraphError if it is not one."""
+        i = self.edge_index.get(edge_key(u, v))
+        if i is None:
+            raise GraphError(f"({u!r}, {v!r}) is not an edge")
+        return i
 
     def degree(self, x):
         self.check_vertex(x)
         return len(self.adjacency[x])
 
-    def m2_of(self, u, v):
-        k = edge_key(u, v)
-        if k not in self.m2:
-            raise GraphError(f"({u!r}, {v!r}) is not an edge")
-        return self.m2[k]
-
-    def without_edge(self, u, v):
-        """Copy of the graph with one edge removed (may raise if disconnected)."""
-        k = edge_key(u, v)
-        if k not in self.m2:
-            raise GraphError(f"({u!r}, {v!r}) is not an edge")
-        edges = tuple(e for e in self.edges if edge_key(*e) != k)
-        m2 = {kk: m for kk, m in self.m2.items() if kk != k}
-        return MeasuredGraph(self.vertices, edges, dict(self.m1), m2)
+    def without_edge(self, i):
+        """Copy of the graph without ``edges[i]`` (GraphError if disconnected)."""
+        edges = self.edges[:i] + self.edges[i + 1 :]
+        return MeasuredGraph(self.vertices, edges, self.m1, np.delete(self.m2, i))
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,23 +210,6 @@ class SurgeryEvent:
     alternative_distance: float
 
 
-def _is_connected(vertices, edges):
-    adj = {x: [] for x in vertices}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    start = vertices[0]
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(vertices)
-
-
 def build_named_graph(family, n, measure_mode="uniform", m2_values=None):
     """Construct a standard graph family with one of the two measure choices.
 
@@ -244,18 +244,18 @@ def build_named_graph(family, n, measure_mode="uniform", m2_values=None):
     if measure_mode == "uniform":
         if m2_values is not None:
             raise GraphError("uniform mode takes no m2 values")
-        m1 = {x: 1.0 for x in vertices}
-        m2 = {edge_key(u, v): 1.0 for u, v in edges}
+        m1, m2 = [1.0] * len(vertices), [1.0] * len(edges)
     elif measure_mode == "normalized_deg1":
         if m2_values is None or len(m2_values) != len(edges):
             raise GraphError(
                 f"normalized_deg1 mode needs exactly {len(edges)} m2 values"
             )
-        m2 = {edge_key(u, v): float(a) for (u, v), a in zip(edges, m2_values)}
-        m1 = dict.fromkeys(vertices, 0.0)
-        for u, v in edges:
-            m1[u] += m2[edge_key(u, v)]
-            m1[v] += m2[edge_key(u, v)]
+        # every family numbers its vertices 0, 1, ..., so a vertex is its index
+        m2 = [float(a) for a in m2_values]
+        m1 = [0.0] * len(vertices)
+        for (u, v), a in zip(edges, m2):
+            m1[u] += a
+            m1[v] += a
     else:
         raise GraphError(f"unknown measure mode {measure_mode!r}")
     return MeasuredGraph(vertices, edges, m1, m2)
@@ -264,34 +264,31 @@ def build_named_graph(family, n, measure_mode="uniform", m2_values=None):
 def deg_measure(g, x):
     """Deg(x) = sum of incident m2 over m1(x)."""
     g.check_vertex(x)
-    return sum(g.m2_of(x, y) for y, _ in g.adjacency[x]) / g.m1[x]
+    # Python floats: a measure ratio past the float range is inf, not a warning
+    m2 = g.m2[[j for _, j in g.adjacency[x]]].tolist()
+    return sum(m2) / float(g.m1[g.vertex_index[x]])
 
 
-def distance_matrix(g, omega, excluded_edge=None):
+def distance_matrix(g, omega):
     """All-pairs shortest omega-path lengths (Floyd-Warshall).
 
     Rows and columns follow ``g.vertices``; unreachable pairs are math.inf.
-    ``excluded_edge`` removes one edge from consideration.
     """
-    keep = np.ones(g.n_edges, dtype=bool)
-    if excluded_edge is not None:
-        # a pair that is not an edge excludes nothing
-        keep[g.edge_index.get(edge_key(*excluded_edge), [])] = False
-    a, b = g.ends[keep].T
+    a, b = g.ends.T
     d = np.full((g.n_vertices, g.n_vertices), math.inf)
     np.fill_diagonal(d, 0.0)
-    d[a, b] = d[b, a] = omega.vector(g)[keep]
+    d[a, b] = d[b, a] = omega.vector(g)
     for z in range(g.n_vertices):
         np.minimum(d, d[:, z, None] + d[None, z, :], out=d)
     return d
 
 
-def shortest_distance(g, omega, u, v, excluded_edge=None):
+def shortest_distance(g, omega, u, v):
     """One entry of ``distance_matrix``; math.inf if unreachable."""
     g.check_vertex(u)
     g.check_vertex(v)
     vid = g.vertex_index
-    return float(distance_matrix(g, omega, excluded_edge)[vid[u], vid[v]])
+    return float(distance_matrix(g, omega)[vid[u], vid[v]])
 
 
 def is_tree(g):
@@ -302,12 +299,13 @@ def is_tree(g):
 def surgery_scan(g, omega):
     """Edges that are no longer the strict unique shortest path.
 
-    Returns every edge e = (x, y) with omega(e) >= d_alt - SURGERY_TOL, the
-    detour d_alt read off one distance matrix D of the whole graph as
-    min over z ~ x, z != y of omega(xz) + D(z, y).  A term whose D(z, y)
-    runs back through e is at least omega(e) + 2 min omega, so while
-    min omega > SURGERY_TOL / 2 the result equals the one for the exact
-    shortest path avoiding e.  Trees have no detour: their scan is empty.
+    Returns ``(i, d_alt)`` in edge order for every edge e_i = (x, y) with
+    omega(e_i) >= d_alt - SURGERY_TOL, the detour d_alt read off one
+    distance matrix D of the whole graph as min over z ~ x, z != y of
+    omega(xz) + D(z, y).  A term whose D(z, y) runs back through e_i is at
+    least omega(e_i) + 2 min omega, so while min omega > SURGERY_TOL / 2 a
+    returned d_alt is the exact shortest path avoiding e_i.  Trees have no
+    detour: their scan is empty.
     """
     if is_tree(g):
         return []
@@ -315,26 +313,26 @@ def surgery_scan(g, omega):
     bad = []
     for i, (u, v) in enumerate(g.edges):
         detours = [w[j] + d[vid[z], vid[v]] for z, j in g.adjacency[u] if z != v]
-        if w[i] >= min(detours, default=math.inf) - SURGERY_TOL:
-            bad.append((u, v))
+        alt = min(detours, default=math.inf)
+        if w[i] >= alt - SURGERY_TOL:
+            bad.append((i, float(alt)))
     return bad
 
 
 def apply_surgery(g, omega, t=0.0):
     """Remove degenerate edges one at a time until the metric is clean.
 
-    Edges are removed in ascending edge-index order with a full re-scan
-    after each removal.  Raises DisconnectedAfterSurgery when a removal
-    would disconnect the graph.
+    Edges are removed in ascending edge-index order, each with the detour
+    its scan found, and the graph is re-scanned after each removal.  Raises
+    DisconnectedAfterSurgery when a removal would disconnect the graph.
     """
     events = []
     while True:
         bad = surgery_scan(g, omega)
         if not bad:
             break
-        u, v = bad[0]
-        w, i = omega.vector(g), g.edge_index[edge_key(u, v)]
-        alt = shortest_distance(g, omega, u, v, excluded_edge=(u, v))
+        i, alt = bad[0]
+        w, (u, v) = omega.vector(g), g.edges[i]
         events.append(
             SurgeryEvent(
                 time=t,
@@ -344,7 +342,7 @@ def apply_surgery(g, omega, t=0.0):
             )
         )
         try:
-            g = g.without_edge(u, v)
+            g = g.without_edge(i)
         except GraphError as exc:
             raise DisconnectedAfterSurgery(
                 f"removing edge ({u!r}, {v!r}) at t={t} disconnects the graph"
@@ -397,23 +395,21 @@ def parse_graph_text(text):
         raise GraphParseError(f"bad header counts: {lines[0]!r}") from exc
 
     vertices, edges = [], []
-    m1, m2, w0 = {}, {}, []
+    m1, m2, w0 = [], [], []
     for line in lines[1:]:
         parts = line.split()
         if parts[0] == "vertex":
             if len(parts) != 3:
                 raise GraphParseError(f"bad vertex line: {line!r}")
-            vid = parts[1]
-            m1[vid] = _parse_finite(parts[2], "vertex measure", line)
-            vertices.append(vid)
+            m1.append(_parse_finite(parts[2], "vertex measure", line))
+            vertices.append(parts[1])
         elif parts[0] == "edge":
             if len(parts) not in (4, 5):
                 raise GraphParseError(f"bad edge line: {line!r}")
-            u, v = parts[1], parts[2]
-            m2[edge_key(u, v)] = _parse_finite(parts[3], "edge measure", line)
+            m2.append(_parse_finite(parts[3], "edge measure", line))
             if len(parts) == 5:
                 w0.append(_parse_finite(parts[4], "edge omega0", line))
-            edges.append((u, v))
+            edges.append((parts[1], parts[2]))
         else:
             raise GraphParseError(f"unexpected line: {line!r}")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import GraphError, MetricAssignment, edge_key, is_tree
+from .graph import GraphError, MetricAssignment, is_tree
 
 VANISHING = "vanishing"
 CONSTANT_METRIC = "constant_metric"
@@ -97,10 +97,7 @@ def build_flow_matrix(g):
     F[i, i] = -(m2/m1(u) + m2/m1(v)) for e_i = (u, v).  ConvergenceFailure
     if an entry of F or Ftilde overflows, so no command reads an inf.
     """
-    n = g.n_edges
-    m1 = np.array([g.m1[x] for x in g.vertices])
-    m2 = np.array([g.m2[edge_key(u, v)] for u, v in g.edges])
-    inc = g.incidence
+    n, m1, m2, inc = g.n_edges, g.m1, g.m2, g.incidence
     # m1 of the vertex e_i and e_j share; a simple graph's edges share at most one
     shared = inc.T @ (inc * m1[:, None])
     np.fill_diagonal(shared, 0.0)
@@ -299,9 +296,7 @@ def inverse_curvature(g, kappa_target, tol=DEFAULT_TOL_ZERO):
 def _require_uniform_tree(g):
     if not is_tree(g):
         raise NotATree("graph is not a tree")
-    if any(abs(g.m1[x] - 1.0) > 0 for x in g.vertices) or any(
-        abs(m - 1.0) > 0 for m in g.m2.values()
-    ):
+    if np.any(g.m1 != 1.0) or np.any(g.m2 != 1.0):
         raise NotUniformMeasure("tree classification needs m1 = m2 = 1")
 
 

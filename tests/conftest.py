@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ricciflow import MeasuredGraph, MetricAssignment, edge_key, jacobi_eigh
+from ricciflow import MeasuredGraph, MetricAssignment, jacobi_eigh
 
 # one line per acceptance criterion, echoed after the test summary
 ACCEPTANCE_LINES = []
@@ -77,11 +77,11 @@ def random_connected_graph(rng, n_vertices, extra_edges, uniform_measures=True):
 def build_measured(rng, n_vertices, edges, uniform=True):
     vertices = tuple(range(n_vertices))
     if uniform:
-        m1 = {x: 1.0 for x in vertices}
-        m2 = {edge_key(u, v): 1.0 for u, v in edges}
+        m1 = [1.0] * n_vertices
+        m2 = [1.0] * len(edges)
     else:
-        m1 = {x: float(rng.uniform(0.5, 2.0)) for x in vertices}
-        m2 = {edge_key(u, v): float(rng.uniform(0.5, 2.0)) for u, v in edges}
+        m1 = [float(rng.uniform(0.5, 2.0)) for _ in vertices]
+        m2 = [float(rng.uniform(0.5, 2.0)) for _ in edges]
     return MeasuredGraph(vertices, tuple(edges), m1, m2)
 
 

@@ -22,7 +22,6 @@ from ricciflow import (
     build_named_graph,
     classify_convergence,
     classify_tree_uniform,
-    edge_key,
     eigendecompose,
     forman_edge,
     forman_flow_exact,
@@ -86,8 +85,8 @@ def measured_from_nx(tree):
     return MeasuredGraph(
         vertices,
         edges,
-        {x: 1.0 for x in vertices},
-        {edge_key(u, v): 1.0 for u, v in edges},
+        [1.0] * len(vertices),
+        [1.0] * len(edges),
     )
 
 
@@ -108,8 +107,8 @@ def tree_with_paw_motif(rng):
     return MeasuredGraph(
         vertices,
         tuple(edges),
-        {x: 1.0 for x in vertices},
-        {edge_key(u, v): 1.0 for u, v in edges},
+        [1.0] * len(vertices),
+        [1.0] * len(edges),
     )
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import warnings
 
 import pytest
 
+import ricciflow.flow
 from ricciflow.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, build_parser, main
 
 
@@ -246,6 +248,38 @@ class TestFlowCommand:
         assert code == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
         assert os.listdir(out) == []
+
+    @pytest.mark.parametrize(
+        "argv, bad_t, n_steps",
+        [
+            (["--named", "star:6", "--t-end", "300"], "235.7", 2357),
+            (["--named", "star:65", "--t-end", "20"], "14.6", 146),
+            (["--named", "star:65", "--omega0", ",".join(["1e307"] * 65)], "0", 0),
+        ],
+        ids=["star6_overflow", "star65_overflow_between_samples", "star65_kappa_overflow"],
+    )
+    def test_lly_flow_past_float_range_is_numerical_error(
+        self, tmp_path, capsys, monkeypatch, argv, bad_t, n_steps
+    ):
+        # a tree's LLY flow is the Forman flow, which overflows on these stars
+        steps = []
+        rk4_step = ricciflow.flow._rk4_step
+
+        def recording(kappa_fn, w, h):
+            steps.append(h)
+            return rk4_step(kappa_fn, w, h)
+
+        monkeypatch.setattr(ricciflow.flow, "_rk4_step", recording)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning on stderr either
+            code = main(["flow", "--kind", "lly", *argv, "--dt", "0.1", "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        # the first step past the range ends the run, also between samples,
+        # and no step is halved to repair it
+        assert f"floating-point range at t={bad_t}" in capsys.readouterr().err
+        assert os.listdir(out) == []
+        assert len(steps) == n_steps and set(steps) <= {0.1}
 
     def test_bad_dt(self, tmp_path):
         code = main(
@@ -608,3 +642,39 @@ class TestDeterminism:
         assert main(["spectrum", "--named", "path:3", "--out", str(tmp_path)]) == EXIT_OK
         leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".tmp_")]
         assert leftovers == []
+
+
+# SHA-256 of every file a fast command set writes, taken with numpy 2.4 and
+# scipy 1.17 on x86-64.  Any changed output byte fails here; update a digest
+# only for an intended change of output, and say which in the change log.
+PINNED_COMMANDS = [
+    ["reproduce", "--figure", "ex42"],
+    ["reproduce", "--figure", "ex43"],
+    ["reproduce", "--figure", "fig1a"],
+    ["flow", "--named", "cycle:4", "--kind", "lly", "--omega0", "1,1,1,3.5",
+     "--t-end", "0.3", "--dt", "0.01"],
+    ["curvature", "--named", "cycle:5"],
+    ["spectrum", "--named", "complete:6"],
+    ["inverse", "--named", "star:3", "--kappa", "0,0,0"],
+]
+PINNED_SHA256 = {
+    "curvature_cycle5.csv": "4fd5bf9a6ce6f2f5ebde623cd7020d583ba47107de26accb42a78494f1308887",
+    "flow_cycle4.csv": "84fe9ca0414e0f9f71bbd8a8f1ff0740abbbf105fd40a03e4a35a682945f4ace",
+    "flow_cycle4_surgery.csv": "63e8079d98908459f944193f9a9bbd386949127f0fe45d01d35252b1fc57262c",
+    "inverse_star3.json": "84ec91342a85381633ee6327be43ea1c414d4d701063420d89d6fd91bd2d7dba",
+    "reproduce_ex42.json": "f6f1b6a05b6862780a8d8d6779b65ffe73d33ba05837238d36e94e41cd2bca26",
+    "reproduce_ex43.json": "b6e37b2275dc2d4c2a31b38d5914d5951fbfb2d2668367071f2ec7b85c22174d",
+    "reproduce_fig1a.csv": "99f6437d5dd75069b51d44e6e2ead2bdf742bad53abee25b107b568098228642",
+    "reproduce_fig1a.json": "d3167edc47fddc9ab5108a3c248d70c45c771c1a502c510d86f3b063bc64f96a",
+    "spectrum_complete6.json": "be48b2f049894a4cc40cfea51874174a003ada6267a02bdcd58e51426a087ec1",
+}
+
+
+class TestPinnedOutputBytes:
+    def test_outputs_match_pinned_digests(self, tmp_path):
+        for argv in PINNED_COMMANDS:
+            assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+        digests = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()
+        }
+        assert digests == PINNED_SHA256

@@ -57,12 +57,14 @@ class TestForman:
         weight = {k: w.vector(g)[i] for k, i in g.edge_index.items()}
         for u, v in g.edges:
             k = edge_key(u, v)
-            terms = [g.m2[k] / g.m1[u], g.m2[k] / g.m1[v]]
+            m2 = g.m2[g.position(u, v)]
+            terms = [m2 / g.m1[u], m2 / g.m1[v]]
             for x in (u, v):
                 for a, b in g.edges:
                     other = edge_key(a, b)
                     if x in other and other != k:
-                        terms.append(-(g.m2[other] / g.m1[x]) * (weight[other] / weight[k]))
+                        m2_other = g.m2[g.position(a, b)]
+                        terms.append(-(m2_other / g.m1[x]) * (weight[other] / weight[k]))
             scale = sum(abs(t) for t in terms)
             assert abs(forman_edge(g, w, (u, v)) - sum(terms)) <= 1e-12 * scale
 

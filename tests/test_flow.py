@@ -7,6 +7,7 @@ import pytest
 
 import ricciflow.graph
 from ricciflow import (
+    DegenerateMetric,
     MeasuredGraph,
     MetricAssignment,
     StepSizeTooLarge,
@@ -226,7 +227,7 @@ class TestLLYIntegration:
     def test_no_surgery_flag(self):
         g = build_named_graph("cycle", 4)
         w0 = MetricAssignment.from_vector(g, [1.0, 1.0, 1.0, 3.5])
-        with pytest.raises(Exception):
+        with pytest.raises(DegenerateMetric):
             # without surgery the long edge is degenerate and the LP rejects it
             lly_flow_integrate(g, w0, 0.1, 1e-2, surgery=False)
 
@@ -309,7 +310,7 @@ class TestCsvExport:
         w0 = MetricAssignment.uniform(g)
         traj = lly_flow_integrate(g, w0, 0.02, 1e-2)
         out = tmp_path / "traj.csv"
-        write_trajectory_csv(traj, g, out)
+        write_trajectory_csv(traj, out)
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "t,edge_id,omega,omega_normalized,kappa"
         assert len(lines) == 1 + len(traj.times) * g.n_edges
@@ -342,7 +343,7 @@ class TestCsvExport:
         assert [len(times) for times, _, _ in traj.segments] == [0, 31]
         removed = "{}-{}".format(*g.edges[3])
         out = tmp_path / "traj.csv"
-        write_trajectory_csv(traj, g, out)
+        write_trajectory_csv(traj, out)
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert removed not in {edge_id for _, edge_id, _, _, _ in rows}
         assert len(rows) == len(traj.times) * 3
@@ -368,8 +369,8 @@ class TestCsvExport:
         for kind, run in flows.items():
             a = tmp_path / f"{kind}_a.csv"
             b = tmp_path / f"{kind}_b.csv"
-            write_trajectory_csv(run(), g, a)
-            write_trajectory_csv(run(), g, b)
+            write_trajectory_csv(run(), a)
+            write_trajectory_csv(run(), b)
             assert a.read_bytes() == b.read_bytes(), kind
 
 
@@ -403,8 +404,8 @@ class TestBlockWriter:
         g = MeasuredGraph(
             vertices,
             edges,
-            {x: 1.0 for x in vertices},
-            {edge_key(u, v): 1.0 + 0.25 * i for i, (u, v) in enumerate(edges)},
+            [1.0] * len(vertices),
+            [1.0 + 0.25 * i for i in range(len(edges))],
         )
         w0 = MetricAssignment.from_vector(g, np.linspace(0.3, 2.0, len(edges)))
         n = blocks * CSV_BLOCK_SAMPLES + 3
@@ -412,7 +413,7 @@ class TestBlockWriter:
             forman_flow_exact(g, w0, np.linspace(0.0, 2.0, n))
         )
         out = tmp_path / "traj.csv"
-        write_trajectory_csv(traj, g, out)
+        write_trajectory_csv(traj, out)
         assert out.read_text() == reference_trajectory_csv(traj, g)
 
     def test_lly_surgery_at_start_matches_reference(self, tmp_path):
@@ -421,7 +422,7 @@ class TestBlockWriter:
         traj = lly_flow_integrate(g, w0, 0.3, 1e-2)
         assert [len(times) for times, _, _ in traj.segments] == [0, 31]
         out = tmp_path / "traj.csv"
-        write_trajectory_csv(traj, g, out)
+        write_trajectory_csv(traj, out)
         assert out.read_text() == reference_trajectory_csv(traj, g)
 
     def test_atomic_write_failure_keeps_target(self, tmp_path):

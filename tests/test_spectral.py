@@ -12,7 +12,6 @@ from ricciflow import (
     classify_convergence,
     classify_tree_uniform,
     curvature_bounds,
-    edge_key,
     eigendecompose,
     flow_coefficients,
     forman_edge,
@@ -64,7 +63,7 @@ class TestFlowMatrix:
         b = line_graph_adjacency(g)
         off = fm.F - np.diag(np.diag(fm.F))
         assert np.all((off > 0) == (b > 0))
-        m2 = [g.m2[edge_key(u, v)] for u, v in g.edges]
+        m2 = g.m2.tolist()
         for i, (u, v) in enumerate(g.edges):
             assert fm.F[i, i] == -(m2[i] / g.m1[u] + m2[i] / g.m1[v])
             for j, (a, c) in enumerate(g.edges):
@@ -294,8 +293,8 @@ class TestTreeClassification:
         g = MeasuredGraph(
             tuple(range(5)),
             edges,
-            {i: 1.0 for i in range(5)},
-            {edge_key(u, v): 1.0 for u, v in edges},
+            [1.0] * 5,
+            [1.0] * len(edges),
         )
         assert classify_tree_uniform(g) == BIG_DEGREE_CASE
         b = line_graph_adjacency(g)
