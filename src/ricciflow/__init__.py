@@ -1,7 +1,7 @@
 """Discrete Ricci curvature and curvature flows on measured weighted graphs."""
 
 from .graph import (
-    DisconnectedAfterSurgery,
+    DegenerateMetric,
     GraphError,
     GraphParseError,
     MeasuredGraph,
@@ -12,7 +12,6 @@ from .graph import (
     deg_measure,
     distance_matrix,
     edge_id,
-    edge_key,
     is_tree,
     line_graph_adjacency,
     load_graph,
@@ -21,7 +20,6 @@ from .graph import (
     surgery_scan,
 )
 from .curvature import (
-    DegenerateMetric,
     EpsilonTooLarge,
     ProbabilityKernel,
     default_epsilon,

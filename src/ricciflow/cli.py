@@ -21,7 +21,6 @@ import numpy as np
 
 from . import __version__
 from .curvature import (
-    DegenerateMetric,
     EpsilonTooLarge,
     default_epsilon,
     forman_vector,
@@ -31,7 +30,6 @@ from .curvature import (
 )
 from .flow import (
     FLOAT_FMT,
-    StepSizeTooLarge,
     atomic_write,
     forman_flow_exact,
     lly_flow_integrate,
@@ -40,6 +38,7 @@ from .flow import (
     write_trajectory_csv,
 )
 from .graph import (
+    DegenerateMetric,
     GraphError,
     MeasuredGraph,
     MetricAssignment,
@@ -48,7 +47,6 @@ from .graph import (
     load_graph,
 )
 from .spectral import (
-    ConvergenceFailure,
     DEFAULT_TOL_ZERO,
     NotATree,
     NotUniformMeasure,
@@ -413,12 +411,8 @@ def main(argv=None):
         # EpsilonTooLarge comes only from --epsilon: default_epsilon is valid
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (
-        DegenerateMetric,
-        ConvergenceFailure,
-        StepSizeTooLarge,
-        RuntimeError,
-    ) as exc:
+    except (DegenerateMetric, RuntimeError) as exc:
+        # ConvergenceFailure, StepSizeTooLarge and failed LPs are RuntimeErrors
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -11,6 +11,10 @@ transport estimate (``lly_limit_estimate``) built from Wasserstein
 distances between lazy random-walk kernels.  The two agree to solver
 precision for sufficiently lazy kernels, which the tests exploit.
 
+The curvatures are scale-invariant but HiGHS's tolerances are absolute, so
+LPs and Forman products run on omega scaled exactly to unit size by a power
+of two (``_unit_scale``).
+
 Both routes solve their LPs with ``scipy.optimize.linprog`` (HiGHS).  It is
 imported on first use, so the Forman and spectral commands start on numpy
 alone, and then bound as the module global ``linprog``: the Lin-Lu-Yau LP
@@ -20,12 +24,14 @@ tracer that replaces module-level bindings of ``linprog`` sees every solve.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import (
+    DegenerateMetric,
     deg_measure,
     distance_matrix,
     edge_id,
@@ -55,10 +61,6 @@ class EpsilonTooLarge(ValueError):
     """Laziness parameter too large for a positive self-mass."""
 
 
-class DegenerateMetric(ValueError):
-    """An edge is not the strict unique shortest path between its endpoints."""
-
-
 @dataclass(frozen=True)
 class ProbabilityKernel:
     """Lazy transition kernel seated at one vertex.
@@ -75,6 +77,12 @@ class ProbabilityKernel:
         total = sum(self.masses.values())
         if abs(total - 1.0) > KERNEL_MASS_TOL:
             raise ValueError(f"kernel masses sum to {total}, expected 1")
+
+
+def _unit_scale(x):
+    """(x / 2**k, k), k = floor(log2(max x)): exact, the largest in [1, 2)."""
+    k = math.frexp(float(np.max(x)))[1] - 1
+    return np.ldexp(x, -k), k
 
 
 def forman_kappa(f, w):
@@ -96,7 +104,7 @@ def forman_edge(g, omega, e):
 
 def forman_vector(g, omega):
     """Forman curvature of every edge, in edge order, from one flow matrix."""
-    return forman_kappa(build_flow_matrix(g).F, omega.vector(g))
+    return forman_kappa(build_flow_matrix(g).F, _unit_scale(omega.vector(g))[0])
 
 
 def kernel(g, x, eps):
@@ -123,7 +131,7 @@ def wasserstein(g, omega, mu, nu):
     ns, nd = len(src), len(dst)
     vid = g.vertex_index
     d = distance_matrix(g, omega)
-    c = d[np.ix_([vid[a] for a in src], [vid[b] for b in dst])].reshape(-1)
+    c, k = _unit_scale(d[np.ix_([vid[a] for a in src], [vid[b] for b in dst])].ravel())
     a_eq = np.zeros((ns + nd, ns * nd))
     for i in range(ns):
         a_eq[i, i * nd : (i + 1) * nd] = 1.0
@@ -134,7 +142,7 @@ def wasserstein(g, omega, mu, nu):
     res = _module.linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if not res.success:
         raise RuntimeError(f"transport LP failed: {res.message}")
-    return float(res.fun)
+    return math.ldexp(res.fun, k)
 
 
 def _lipschitz_rows(g, w):
@@ -174,7 +182,9 @@ def _lly_lp(g, a_ub, b_ub, x, y, d):
 
     res = _module.linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if not res.success:
-        raise RuntimeError(f"Lin-Lu-Yau LP failed: {res.message}")
+        raise RuntimeError(
+            f"Lin-Lu-Yau LP of edge {edge_id(x, y)} failed: {res.message}"
+        )
     return float(res.fun)
 
 
@@ -183,13 +193,16 @@ def lly_edge(g, omega, e):
 
     The edge must be strict, omega(e) < d_alt - SURGERY_TOL with d_alt the
     shortest path avoiding e, as ``surgery_scan`` decides; otherwise
-    DegenerateMetric is raised.  Other degenerate edges do not matter.
+    DegenerateMetric is raised.  Other edges that are not strict do not
+    matter, but on a graph with a cycle a weight anywhere at most
+    SURGERY_TOL / 2 raises too, as the scan cannot resolve strictness there.
     """
     x, y = e
     i = g.position(x, y)
     if any(j == i for j, _ in surgery_scan(g, omega)):
-        raise DegenerateMetric(f"edge ({x!r}, {y!r}) is not the strict shortest path")
-    w = omega.vector(g)
+        name = edge_id(*g.edges[i])
+        raise DegenerateMetric(f"edge {name} is not the strict shortest path")
+    w, _ = _unit_scale(omega.vector(g))
     return _lly_lp(g, *_lipschitz_rows(g, w), x, y, float(w[i]))
 
 
@@ -203,7 +216,7 @@ def lly_vector(g, omega):
     bad = [edge_id(*g.edges[i]) for i, _ in surgery_scan(g, omega)]
     if bad:
         raise DegenerateMetric(f"metric is degenerate on edges {bad}")
-    w = omega.vector(g)
+    w, _ = _unit_scale(omega.vector(g))
     rows = _lipschitz_rows(g, w)
     return np.array(
         [_lly_lp(g, *rows, u, v, d) for (u, v), d in zip(g.edges, w.tolist())]

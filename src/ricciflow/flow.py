@@ -5,8 +5,11 @@ solution omega(t, e_l) = sum_i c_i(e_l) exp(lambda_i t).  The Lin-Lu-Yau
 flow on general graphs is nonlinear (the curvature is an LP value) and is
 integrated with classical RK4 plus surgery; on trees the two curvatures
 coincide, which both speeds up the integrator and gives the exact solution
-as a cross-check.  A trajectory keeps its samples as arrays: per edge set,
-the sample times and one omega row and one kappa row per sample.
+as a cross-check.  Surgery never disconnects the graph; on a graph with a
+cycle, a weight that falls to SURGERY_TOL / 2, the surgery scan's
+resolution, ends the flow with DegenerateMetric.  A trajectory keeps its
+samples as arrays in segments, one per edge set: the graph, the sample
+times, and one omega row and one kappa row per sample.
 """
 
 from __future__ import annotations
@@ -37,29 +40,29 @@ class StepSizeTooLarge(RuntimeError):
 
 @dataclass
 class FlowTrajectory:
-    """Flow samples stored as arrays, one block per edge set.
+    """Flow samples stored as arrays, one segment per edge set.
 
-    ``graph_snapshots`` starts with the initial graph and gains one entry
-    after each surgery.  ``segments[i]`` is ``(times, omega, kappa)`` for
-    the samples taken on ``graph_snapshots[i]``, one row per sample and
-    columns in that graph's edge order; it may hold no samples.
+    ``segments[i]`` is ``(graph, times, omega, kappa)``: the initial graph
+    first, and a new segment after each surgery, holding the samples taken
+    on that graph, one row per sample and columns in its edge order; a
+    segment may hold no samples.
     """
 
-    graph_snapshots: list
     segments: list
     surgeries: list = field(default_factory=list)
 
     @property
     def times(self):
-        return [float(t) for times, _, _ in self.segments for t in times]
+        return [float(t) for _, times, _, _ in self.segments for t in times]
 
     def final_graph(self):
-        return self.graph_snapshots[-1]
+        return self.segments[-1][0]
 
 
 def _segment(g, times, omega_rows, kappa_rows):
     shape = (len(times), g.n_edges)
     return (
+        g,
         np.asarray(times, dtype=float),
         np.asarray(omega_rows, dtype=float).reshape(shape),
         np.asarray(kappa_rows, dtype=float).reshape(shape),
@@ -95,10 +98,7 @@ def forman_flow_exact(g, omega0, times):
         raise ConvergenceFailure(
             f"Forman flow leaves the floating-point range at t={tarr[ok.argmin()]:g}"
         )
-    return FlowTrajectory(
-        graph_snapshots=[g],
-        segments=[_segment(g, tarr, w, kappa)],
-    )
+    return FlowTrajectory(segments=[_segment(g, tarr, w, kappa)])
 
 
 def normalized_flow_state(g, omega0, t):
@@ -176,7 +176,8 @@ def lly_flow_integrate(g, omega0, t_end, dt, surgery=True):
     restart the system on the reduced graph in a new segment.  Samples are
     recorded every step for small graphs, every 10th step otherwise
     (endpoints always).  ConvergenceFailure if a weight or a recorded
-    curvature is not finite.
+    curvature is not finite; DegenerateMetric, from the scan, if a weight
+    on a graph with a cycle falls to SURGERY_TOL / 2.
     """
     if t_end < 0:
         raise ValueError("t_end must be nonnegative")
@@ -188,14 +189,13 @@ def lly_flow_integrate(g, omega0, t_end, dt, surgery=True):
     w = omega0.vector(graph)
 
     surgeries = []
-    snapshots = [graph]
-    rows = [([], [], [])]  # (times, omega rows, kappa rows) per snapshot
+    rows = [(graph, [], [], [])]  # (graph, times, omega rows, kappa rows)
 
     def record(t, w_vec):
         with np.errstate(over="ignore", invalid="ignore"):  # raised just below
             kappa = kappa_fn(w_vec)
         _require_finite(t, kappa)
-        times, omega_rows, kappa_rows = rows[-1]
+        _, times, omega_rows, kappa_rows = rows[-1]
         times.append(t)
         omega_rows.append(w_vec)
         kappa_rows.append(kappa)
@@ -208,8 +208,7 @@ def lly_flow_integrate(g, omega0, t_end, dt, surgery=True):
         if events:
             graph = cut_graph
             surgeries.extend(events)
-            snapshots.append(graph)
-            rows.append(([], [], []))
+            rows.append((graph, [], [], []))
             kappa_fn = _lly_kappa_fn(graph)
             w = cut.vector(graph)
 
@@ -231,23 +230,16 @@ def lly_flow_integrate(g, omega0, t_end, dt, surgery=True):
         if step_no % keep_every == 0 or t >= t_end - 1e-12:
             record(t, w)
 
-    return FlowTrajectory(
-        graph_snapshots=snapshots,
-        segments=[_segment(s, *r) for s, r in zip(snapshots, rows)],
-        surgeries=surgeries,
-    )
+    return FlowTrajectory([_segment(*r) for r in rows], surgeries)
 
 
 def normalized_trajectory(traj):
     """Rescale every sample so its weights sum to 1; curvature is unchanged."""
-    return FlowTrajectory(
-        graph_snapshots=list(traj.graph_snapshots),
-        segments=[
-            (times, omega / _row_totals(omega)[:, None], kappa)
-            for times, omega, kappa in traj.segments
-        ],
-        surgeries=list(traj.surgeries),
-    )
+    segments = [
+        (g, times, omega / _row_totals(omega)[:, None], kappa)
+        for g, times, omega, kappa in traj.segments
+    ]
+    return FlowTrajectory(segments, list(traj.surgeries))
 
 
 def curvature_residual(traj):
@@ -260,7 +252,7 @@ def curvature_residual(traj):
         raise ValueError("need at least 3 samples for a central difference")
     if traj.surgeries:
         raise ValueError("residual is only defined between surgeries")
-    ((times, w, kap),) = traj.segments
+    ((_, times, w, kap),) = traj.segments
     dwdt = (w[2:] - w[:-2]) / (times[2:] - times[:-2])[:, None]
     resid = np.abs(dwdt + kap[1:-1] * w[1:-1])
     return float(np.max(resid))
@@ -283,7 +275,7 @@ def _trajectory_csv_chunks(traj):
     ids = [edge_id(u, v).replace("%", "%%") for u, v in final.edges]
     row = "".join(f"{FLOAT_FMT},{i},{FLOAT_FMT},{FLOAT_FMT},{FLOAT_FMT}\n" for i in ids)
     yield "t,edge_id,omega,omega_normalized,kappa\n"
-    for snap, (times, omega, kappa) in zip(traj.graph_snapshots, traj.segments):
+    for snap, times, omega, kappa in traj.segments:
         cols = [snap.position(u, v) for u, v in final.edges]
         for start in range(0, len(times), CSV_BLOCK_SAMPLES):
             block = slice(start, start + CSV_BLOCK_SAMPLES)

@@ -3,11 +3,14 @@
 A measured graph is addressed by position: its vertex measure m1 is an
 array in ``vertices`` order, and its edge measure m2, like the metric omega
 and every per-edge value in the package, an array in ``edges`` order.
-Distances are shortest omega-weighted path lengths, all read from one matrix
+An edge is the ordered pair (u, v) it was given as; ``position`` finds it
+from either end and ``edge_id`` is its one text form.  Distances are
+shortest omega-weighted path lengths, all read from one matrix
 (``distance_matrix``).  An edge e = (x, y) is strict while
 omega(e) < d_alt - SURGERY_TOL, with d_alt the shortest x-y path avoiding e;
 ``surgery_scan``, the one test of that rule, returns each failing edge's
-index with its d_alt.  ``edge_id`` is the one text form of an edge.
+index with its exact d_alt, and raises DegenerateMetric on weights at most
+SURGERY_TOL / 2, below its resolution.  So surgery never disconnects a graph.
 """
 
 from __future__ import annotations
@@ -34,13 +37,8 @@ class GraphParseError(GraphError):
     """Malformed graph file."""
 
 
-class DisconnectedAfterSurgery(GraphError):
-    """Surgery removed enough edges to disconnect the graph."""
-
-
-def edge_key(u, v):
-    """Canonical hashable key for an undirected edge."""
-    return frozenset((u, v))
+class DegenerateMetric(ValueError):
+    """An edge is not strict, or a weight is below ``surgery_scan``'s resolution."""
 
 
 def edge_id(u, v):
@@ -64,18 +62,16 @@ class MeasuredGraph:
     m2: np.ndarray  # in edge order
 
     def __post_init__(self):
-        seen, vid = set(), self.vertex_index
+        vid = self.vertex_index
         if len(vid) != len(self.vertices):
             raise GraphError("duplicate vertex ids")
-        for u, v in self.edges:
+        for i, (u, v) in enumerate(self.edges):
             if u == v:
                 raise GraphError(f"loop at vertex {u!r}")
             if u not in vid or v not in vid:
                 raise GraphError(f"edge ({u!r}, {v!r}) references unknown vertex")
-            k = edge_key(u, v)
-            if k in seen:
+            if self.edge_index[u, v] != i:  # a later edge has the same ends
                 raise GraphError(f"parallel edge ({u!r}, {v!r})")
-            seen.add(k)
         m1, m2 = np.array(self.m1, dtype=float), np.array(self.m2, dtype=float)
         if m1.shape != (len(self.vertices),) or m2.shape != (len(self.edges),):
             raise GraphError("m1 or m2 length does not match vertex or edge count")
@@ -84,7 +80,7 @@ class MeasuredGraph:
                 raise GraphError(f"m1({x!r}) must be positive and finite")
         for e, m in zip(self.edges, m2.tolist()):
             if not 0.0 < m < math.inf:
-                raise GraphError(f"m2{tuple(edge_key(*e))} must be positive and finite")
+                raise GraphError(f"m2{tuple(e)} must be positive and finite")
         m1.flags.writeable = m2.flags.writeable = False
         object.__setattr__(self, "m1", m1)
         object.__setattr__(self, "m2", m2)
@@ -117,8 +113,11 @@ class MeasuredGraph:
 
     @cached_property
     def edge_index(self):
-        """Map edge_key -> position in the edge ordering."""
-        return {edge_key(u, v): i for i, (u, v) in enumerate(self.edges)}
+        """Map (u, v) and (v, u) -> position of the edge (u, v) in ``edges``."""
+        index = {}
+        for i, (u, v) in enumerate(self.edges):
+            index[u, v] = index[v, u] = i
+        return index
 
     @cached_property
     def ends(self):
@@ -148,7 +147,7 @@ class MeasuredGraph:
 
     def position(self, u, v):
         """Index of the edge (u, v) in ``edges``; GraphError if it is not one."""
-        i = self.edge_index.get(edge_key(u, v))
+        i = self.edge_index.get((u, v))
         if i is None:
             raise GraphError(f"({u!r}, {v!r}) is not an edge")
         return i
@@ -180,8 +179,7 @@ class MetricAssignment:
             raise GraphError("weight vector length does not match edge count")
         bad = np.flatnonzero(values <= 0.0)  # nan passes
         if bad.size:
-            k = edge_key(*self.edges[bad[0]])
-            raise GraphError(f"omega{tuple(k)} must be positive")
+            raise GraphError(f"omega{tuple(self.edges[bad[0]])} must be positive")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -303,13 +301,21 @@ def surgery_scan(g, omega):
     omega(e_i) >= d_alt - SURGERY_TOL, the detour d_alt read off one
     distance matrix D of the whole graph as min over z ~ x, z != y of
     omega(xz) + D(z, y).  A term whose D(z, y) runs back through e_i is at
-    least omega(e_i) + 2 min omega, so while min omega > SURGERY_TOL / 2 a
-    returned d_alt is the exact shortest path avoiding e_i.  Trees have no
-    detour: their scan is empty.
+    least omega(e_i) + 2 min omega, so once min omega > SURGERY_TOL / 2 no
+    such term can flag e_i, and a returned d_alt is the exact shortest path
+    avoiding e_i.  Trees have no detour: their scan is empty.  On any other
+    graph a weight at most SURGERY_TOL / 2 raises DegenerateMetric.
     """
     if is_tree(g):
         return []
-    w, d, vid = omega.vector(g), distance_matrix(g, omega), g.vertex_index
+    w = omega.vector(g)
+    k = int(np.argmin(w))
+    if w[k] <= SURGERY_TOL / 2:
+        raise DegenerateMetric(
+            f"omega({edge_id(*g.edges[k])}) = {w[k]:g} is at most SURGERY_TOL / 2,"
+            " below the resolution of the surgery scan"
+        )
+    d, vid = distance_matrix(g, omega), g.vertex_index
     bad = []
     for i, (u, v) in enumerate(g.edges):
         detours = [w[j] + d[vid[z], vid[v]] for z, j in g.adjacency[u] if z != v]
@@ -323,30 +329,15 @@ def apply_surgery(g, omega, t=0.0):
     """Remove degenerate edges one at a time until the metric is clean.
 
     Edges are removed in ascending edge-index order, each with the detour
-    its scan found, and the graph is re-scanned after each removal.  Raises
-    DisconnectedAfterSurgery when a removal would disconnect the graph.
+    its scan found, and the graph is re-scanned after each removal.  A
+    flagged edge has a detour, so no removal disconnects the graph.
     """
     events = []
-    while True:
-        bad = surgery_scan(g, omega)
-        if not bad:
-            break
+    while bad := surgery_scan(g, omega):
         i, alt = bad[0]
-        w, (u, v) = omega.vector(g), g.edges[i]
-        events.append(
-            SurgeryEvent(
-                time=t,
-                removed_edge=(u, v),
-                edge_weight=float(w[i]),
-                alternative_distance=alt,
-            )
-        )
-        try:
-            g = g.without_edge(i)
-        except GraphError as exc:
-            raise DisconnectedAfterSurgery(
-                f"removing edge ({u!r}, {v!r}) at t={t} disconnects the graph"
-            ) from exc
+        w = omega.vector(g)
+        events.append(SurgeryEvent(t, g.edges[i], float(w[i]), alt))
+        g = g.without_edge(i)
         omega = MetricAssignment.from_vector(g, np.delete(w, i))
     return g, omega, events
 

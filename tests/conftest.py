@@ -91,4 +91,4 @@ def random_metric(rng, g, low=0.5, high=2.0):
 
 def trajectory_samples(traj):
     """(t, omega row, kappa row) per sample, read from the trajectory segments."""
-    return [sample for segment in traj.segments for sample in zip(*segment)]
+    return [sample for _, *segment in traj.segments for sample in zip(*segment)]

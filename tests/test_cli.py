@@ -88,6 +88,41 @@ class TestCurvatureCommand:
         assert code == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scale", ["1e-9", "1e9", "1e15", "1e100"])
+    def test_table_is_scale_free(self, tmp_path, scale):
+        # curvature is scale-invariant, and the LPs see unit-sized weights
+        tables = []
+        for x in ("1", scale):
+            argv = ["curvature", "--named", "cycle:5", "--omega0", ",".join([x] * 5)]
+            assert main([*argv, "--out", str(tmp_path / x)]) == EXIT_OK
+            tables.append((tmp_path / x / "curvature_cycle5.csv").read_text())
+        assert tables[1] == tables[0]
+
+    def test_weights_near_float_max(self, tmp_path):
+        # 65 products of 1e307 overflow unless the weights are scaled first
+        argv = ["curvature", "--named", "star:65", "--omega0", ",".join(["1e307"] * 65)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning on stderr either
+            assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+        _, rows = read_csv_rows(tmp_path / "curvature_star65.csv")
+        assert len(rows) == 65
+        for row in rows:
+            assert [row["forman"], row["lly"], row["lly_limit_estimate"]] == ["-62"] * 3
+
+    @pytest.mark.parametrize("argv", [["curvature"], ["flow", "--kind", "lly"]])
+    def test_weight_below_scan_resolution_is_numerical_error(self, tmp_path, capsys, argv):
+        # below SURGERY_TOL / 2 a scan could flag the bridge 2-3, and cutting
+        # it would disconnect the graph; the scan names the tiny weight instead
+        graph = tmp_path / "bridge.graph"
+        graph.write_text(
+            "graph 4 4\nvertex 0 1\nvertex 1 1\nvertex 2 1\nvertex 3 1\n"
+            "edge 2 3 1 1\nedge 0 1 1 1\nedge 1 2 1 1\nedge 2 0 1 1e-10\n"
+        )
+        out = tmp_path / "out"
+        assert main([*argv, "--input", str(graph), "--out", str(out)]) == EXIT_NUMERICAL
+        assert "omega(2-0) = 1e-10 is at most SURGERY_TOL / 2" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
     def test_both_sources_rejected(self, tmp_path):
         code = main(
             [
@@ -574,6 +609,28 @@ def test_cold_start_imports_scipy_only_for_lps(tmp_path):
     assert (tmp_path / "curvature_cycle5.csv").exists()
 
 
+def test_error_text_is_independent_of_hash_seed(tmp_path):
+    # an edge is named as stored, never through a set of its ends
+    graph = tmp_path / "zero.graph"
+    graph.write_text(
+        "graph 3 2\nvertex a 1\nvertex b 1\nvertex c 1\nedge a b 1 1\nedge b c 1 0\n"
+    )
+    errors = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": seed}
+        proc = subprocess.run(
+            [sys.executable, "-m", "ricciflow.cli", "curvature", "--input", str(graph),
+             "--out", str(tmp_path)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == EXIT_INPUT
+        errors.append(proc.stderr)
+    assert errors == ["error: omega('b', 'c') must be positive\n"] * 2
+
+
 class TestReproduce:
     def test_fig1a_constant_limit(self, tmp_path):
         assert main(["reproduce", "--figure", "fig1a", "--out", str(tmp_path)]) == EXIT_OK
@@ -647,34 +704,51 @@ class TestDeterminism:
 # SHA-256 of every file a fast command set writes, taken with numpy 2.4 and
 # scipy 1.17 on x86-64.  Any changed output byte fails here; update a digest
 # only for an intended change of output, and say which in the change log.
-PINNED_COMMANDS = [
-    ["reproduce", "--figure", "ex42"],
-    ["reproduce", "--figure", "ex43"],
-    ["reproduce", "--figure", "fig1a"],
-    ["flow", "--named", "cycle:4", "--kind", "lly", "--omega0", "1,1,1,3.5",
-     "--t-end", "0.3", "--dt", "0.01"],
-    ["curvature", "--named", "cycle:5"],
-    ["spectrum", "--named", "complete:6"],
-    ["inverse", "--named", "star:3", "--kappa", "0,0,0"],
+# Each command writes into a directory of its own, so names may repeat.
+PINNED_OUTPUTS = [
+    (["reproduce", "--figure", "ex42"], {
+        "reproduce_ex42.json": "f6f1b6a05b6862780a8d8d6779b65ffe73d33ba05837238d36e94e41cd2bca26",
+    }),
+    (["reproduce", "--figure", "ex43"], {
+        "reproduce_ex43.json": "b6e37b2275dc2d4c2a31b38d5914d5951fbfb2d2668367071f2ec7b85c22174d",
+    }),
+    (["reproduce", "--figure", "fig1a"], {
+        "reproduce_fig1a.csv": "99f6437d5dd75069b51d44e6e2ead2bdf742bad53abee25b107b568098228642",
+        "reproduce_fig1a.json": "d3167edc47fddc9ab5108a3c248d70c45c771c1a502c510d86f3b063bc64f96a",
+    }),
+    (["flow", "--named", "cycle:4", "--kind", "lly", "--omega0", "1,1,1,3.5",
+      "--t-end", "0.3", "--dt", "0.01"], {
+        "flow_cycle4.csv": "84fe9ca0414e0f9f71bbd8a8f1ff0740abbbf105fd40a03e4a35a682945f4ace",
+        "flow_cycle4_surgery.csv": "63e8079d98908459f944193f9a9bbd386949127f0fe45d01d35252b1fc57262c",
+    }),
+    (["curvature", "--named", "cycle:5"], {
+        "curvature_cycle5.csv": "4fd5bf9a6ce6f2f5ebde623cd7020d583ba47107de26accb42a78494f1308887",
+    }),
+    (["spectrum", "--named", "complete:6"], {
+        "spectrum_complete6.json": "be48b2f049894a4cc40cfea51874174a003ada6267a02bdcd58e51426a087ec1",
+    }),
+    (["inverse", "--named", "star:3", "--kappa", "0,0,0"], {
+        "inverse_star3.json": "84ec91342a85381633ee6327be43ea1c414d4d701063420d89d6fd91bd2d7dba",
+    }),
+    # Lin-Lu-Yau LPs on non-uniform measures and weights
+    (["curvature", "--named", "cycle:5", "--measure", "normalized", "--m2", "1,2,3,4,5",
+      "--omega0", "3,3.3,2.7,3.15,2.85"], {
+        "curvature_cycle5.csv": "185cfa240adcc8fc912f760a286043c105d528a04ce65887bee96695eae83b3b",
+    }),
+    (["flow", "--named", "complete:4", "--kind", "lly", "--omega0", "1,1,1,1,1,2.5",
+      "--t-end", "0.05", "--dt", "0.01"], {
+        "flow_complete4.csv": "d8f6d0024d3cf78ea7c2b8056c86f6d41ba50fcfc49be9aaf2b8cfcda4b907e0",
+        "flow_complete4_surgery.csv": "b56cac4486aa0df0454df49207a032a45f279408a357152bea240a56d284110f",
+    }),
 ]
-PINNED_SHA256 = {
-    "curvature_cycle5.csv": "4fd5bf9a6ce6f2f5ebde623cd7020d583ba47107de26accb42a78494f1308887",
-    "flow_cycle4.csv": "84fe9ca0414e0f9f71bbd8a8f1ff0740abbbf105fd40a03e4a35a682945f4ace",
-    "flow_cycle4_surgery.csv": "63e8079d98908459f944193f9a9bbd386949127f0fe45d01d35252b1fc57262c",
-    "inverse_star3.json": "84ec91342a85381633ee6327be43ea1c414d4d701063420d89d6fd91bd2d7dba",
-    "reproduce_ex42.json": "f6f1b6a05b6862780a8d8d6779b65ffe73d33ba05837238d36e94e41cd2bca26",
-    "reproduce_ex43.json": "b6e37b2275dc2d4c2a31b38d5914d5951fbfb2d2668367071f2ec7b85c22174d",
-    "reproduce_fig1a.csv": "99f6437d5dd75069b51d44e6e2ead2bdf742bad53abee25b107b568098228642",
-    "reproduce_fig1a.json": "d3167edc47fddc9ab5108a3c248d70c45c771c1a502c510d86f3b063bc64f96a",
-    "spectrum_complete6.json": "be48b2f049894a4cc40cfea51874174a003ada6267a02bdcd58e51426a087ec1",
-}
 
 
 class TestPinnedOutputBytes:
     def test_outputs_match_pinned_digests(self, tmp_path):
-        for argv in PINNED_COMMANDS:
-            assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
-        digests = {
-            p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()
-        }
-        assert digests == PINNED_SHA256
+        for n, (argv, pinned) in enumerate(PINNED_OUTPUTS):
+            out = tmp_path / str(n)
+            assert main([*argv, "--out", str(out)]) == EXIT_OK
+            digests = {
+                p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()
+            }
+            assert digests == pinned, argv

@@ -10,7 +10,6 @@ from ricciflow import (
     build_named_graph,
     deg_measure,
     default_epsilon,
-    edge_key,
     forman_edge,
     forman_vector,
     is_tree,
@@ -54,16 +53,16 @@ class TestForman:
         n = int(rng.integers(2, 10))
         g = random_connected_graph(rng, n, int(rng.integers(0, 6)), uniform_measures=False)
         w = random_metric(rng, g, 0.1, 10.0)
-        weight = {k: w.vector(g)[i] for k, i in g.edge_index.items()}
+        weight = w.vector(g)
         for u, v in g.edges:
-            k = edge_key(u, v)
-            m2 = g.m2[g.position(u, v)]
+            k = g.position(u, v)
+            m2 = g.m2[k]
             terms = [m2 / g.m1[u], m2 / g.m1[v]]
             for x in (u, v):
                 for a, b in g.edges:
-                    other = edge_key(a, b)
-                    if x in other and other != k:
-                        m2_other = g.m2[g.position(a, b)]
+                    other = g.position(a, b)
+                    if x in (a, b) and other != k:
+                        m2_other = g.m2[other]
                         terms.append(-(m2_other / g.m1[x]) * (weight[other] / weight[k]))
             scale = sum(abs(t) for t in terms)
             assert abs(forman_edge(g, w, (u, v)) - sum(terms)) <= 1e-12 * scale
@@ -85,6 +84,25 @@ class TestCurvatureVectors:
             assert values.shape == (g.n_edges,)
             expected = np.array([edge(g, w, e) for e in g.edges])
             assert values.tobytes() == expected.tobytes(), vector.__name__
+
+
+class TestScaleInvariance:
+    # every curvature is invariant under omega -> s omega; the LPs and the
+    # Forman products must be too, far outside the solver's absolute tolerances
+    @pytest.mark.parametrize("k", [-20, -5, 5, 30, 300])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_power_of_two_scaling(self, seed, k):
+        rng = np.random.default_rng(1100 + seed)
+        g = random_connected_graph(rng, 6, 3, uniform_measures=False)
+        # a detour has at least two edges of weight >= 1, so every edge is strict
+        w = random_metric(rng, g, 1.0, 1.9)
+        scaled = MetricAssignment.from_vector(g, 2.0**k * w.vector(g))
+        assert forman_vector(g, scaled).tobytes() == forman_vector(g, w).tobytes()
+        assert np.allclose(lly_vector(g, scaled), lly_vector(g, w), rtol=0, atol=1e-9)
+        for e in g.edges:
+            assert lly_limit_estimate(g, scaled, e) == pytest.approx(
+                lly_limit_estimate(g, w, e), abs=1e-9
+            )
 
 
 class TestKernel:

@@ -13,7 +13,6 @@ from ricciflow import (
     StepSizeTooLarge,
     build_named_graph,
     curvature_residual,
-    edge_key,
     forman_flow_exact,
     lly_flow_integrate,
     normalized_flow_state,
@@ -106,7 +105,7 @@ class TestFormanFlowExact:
         traj = forman_flow_exact(
             g, random_metric(rng, g), np.linspace(0.0, 3.0, samples)
         )
-        ((_, w, kappa),) = traj.segments
+        ((_, _, w, kappa),) = traj.segments
         f = build_flow_matrix(g).F
         per_row = np.array([(f @ -row) / row for row in w])
         assert kappa.shape == (samples, g.n_edges)
@@ -220,7 +219,7 @@ class TestLLYIntegration:
         assert len(traj.surgeries) == 1
         assert traj.surgeries[0].removed_edge == g.edges[3]
         assert traj.final_graph().n_edges == 3
-        assert len(traj.graph_snapshots) == 2
+        assert len(traj.segments) == 2
         for _, omega, _ in trajectory_samples(traj):
             assert all(v > 0 for v in omega)
 
@@ -340,7 +339,7 @@ class TestCsvExport:
         traj = lly_flow_integrate(g, w0, 0.3, 1e-2)
         assert [ev.time for ev in traj.surgeries] == [0.0]
         # the original graph carries no sample; all sit on the cut graph
-        assert [len(times) for times, _, _ in traj.segments] == [0, 31]
+        assert [len(times) for _, times, _, _ in traj.segments] == [0, 31]
         removed = "{}-{}".format(*g.edges[3])
         out = tmp_path / "traj.csv"
         write_trajectory_csv(traj, out)
@@ -354,7 +353,7 @@ class TestCsvExport:
             total = sum(omega)
             for row_t, edge_id, w, wn, _ in block:
                 u, v = (int(x) for x in edge_id.split("-"))
-                weight = omega[index[edge_key(u, v)]]
+                weight = omega[index[u, v]]
                 assert float(row_t) == pytest.approx(t)
                 assert float(w) == pytest.approx(weight, rel=1e-11)
                 assert float(wn) == pytest.approx(weight / total, rel=1e-11)
@@ -378,13 +377,13 @@ def reference_trajectory_csv(traj, graph):
     """Row-by-row CSV with str.format, the layout the block writer must match."""
     fmt = "{:.12g}".format
     lines = ["t,edge_id,omega,omega_normalized,kappa"]
-    for snap, (times, omega, kappa) in zip(traj.graph_snapshots, traj.segments):
+    for snap, times, omega, kappa in traj.segments:
         for t, w_row, k_row in zip(times.tolist(), omega.tolist(), kappa.tolist()):
             total = 0.0
             for x in w_row:  # running sum in edge order
                 total += x
             for u, v in graph.edges:
-                j = snap.edge_index.get(edge_key(u, v))
+                j = snap.edge_index.get((u, v))
                 if j is not None:
                     w = w_row[j]
                     lines.append(
@@ -420,7 +419,7 @@ class TestBlockWriter:
         g = build_named_graph("cycle", 4)
         w0 = MetricAssignment.from_vector(g, [1.0, 1.0, 1.0, 3.5])
         traj = lly_flow_integrate(g, w0, 0.3, 1e-2)
-        assert [len(times) for times, _, _ in traj.segments] == [0, 31]
+        assert [len(times) for _, times, _, _ in traj.segments] == [0, 31]
         out = tmp_path / "traj.csv"
         write_trajectory_csv(traj, out)
         assert out.read_text() == reference_trajectory_csv(traj, g)
