@@ -13,7 +13,6 @@ from .graph import (
     distance_matrix,
     edge_id,
     is_tree,
-    line_graph_adjacency,
     load_graph,
     parse_graph_text,
     shortest_distance,
@@ -51,7 +50,6 @@ from .spectral import (
 from .flow import (
     FlowTrajectory,
     StepSizeTooLarge,
-    curvature_residual,
     forman_flow_exact,
     lly_flow_integrate,
     normalized_flow_state,

@@ -242,22 +242,6 @@ def normalized_trajectory(traj):
     return FlowTrajectory(segments, list(traj.surgeries))
 
 
-def curvature_residual(traj):
-    """How well the samples satisfy d omega/dt = -kappa * omega.
-
-    Central differences over consecutive sample triples; needs at least
-    three samples and a constant edge set.
-    """
-    if len(traj.times) < 3:
-        raise ValueError("need at least 3 samples for a central difference")
-    if traj.surgeries:
-        raise ValueError("residual is only defined between surgeries")
-    ((_, times, w, kap),) = traj.segments
-    dwdt = (w[2:] - w[:-2]) / (times[2:] - times[:-2])[:, None]
-    resid = np.abs(dwdt + kap[1:-1] * w[1:-1])
-    return float(np.max(resid))
-
-
 def write_trajectory_csv(traj, path):
     """CSV export: t,edge_id,omega,omega_normalized,kappa.
 

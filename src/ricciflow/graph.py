@@ -1,4 +1,4 @@
-"""Measured weighted graphs: data model, path distances, surgery, line graphs.
+"""Measured weighted graphs: data model, path distances, surgery.
 
 A measured graph is addressed by position: its vertex measure m1 is an
 array in ``vertices`` order, and its edge measure m2, like the metric omega
@@ -164,7 +164,7 @@ class MeasuredGraph:
 
 @dataclass(frozen=True, eq=False)
 class MetricAssignment:
-    """Positive weight omega per edge, as a read-only array in edge order.
+    """Positive, finite weight omega per edge, as a read-only array in edge order.
 
     ``values[i]`` is the weight of ``edges[i]``; ``edges`` is the edge tuple
     of the graph the metric was built for.
@@ -177,9 +177,11 @@ class MetricAssignment:
         values = np.array(self.values, dtype=float)
         if values.shape != (len(self.edges),):
             raise GraphError("weight vector length does not match edge count")
-        bad = np.flatnonzero(values <= 0.0)  # nan passes
+        bad = np.flatnonzero(~((values > 0.0) & (values < np.inf)))  # nan fails both
         if bad.size:
-            raise GraphError(f"omega{tuple(self.edges[bad[0]])} must be positive")
+            raise GraphError(
+                f"omega{tuple(self.edges[bad[0]])} must be positive and finite"
+            )
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -340,16 +342,6 @@ def apply_surgery(g, omega, t=0.0):
         g = g.without_edge(i)
         omega = MetricAssignment.from_vector(g, np.delete(w, i))
     return g, omega, events
-
-
-def line_graph_adjacency(g):
-    """Dense 0/1 adjacency matrix B of the line graph of g.
-
-    B[i, j] = 1 iff edges e_i != e_j share a vertex.
-    """
-    b = g.incidence.T @ g.incidence  # a simple graph's edges share at most one vertex
-    np.fill_diagonal(b, 0.0)
-    return b
 
 
 def _parse_finite(token, what, line):

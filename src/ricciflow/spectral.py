@@ -113,54 +113,45 @@ def build_flow_matrix(g):
     return FlowMatrix(F=f, sqrt_m2=sqrt_m2, Ftilde=ftilde)
 
 
-def _jacobi_sweeps(a, v, tol, max_sweeps):
-    """Cyclic Jacobi rotations in place; returns sweeps used or -1."""
-    n = a.shape[0]
+def _jacobi_sweeps(av, tol, max_sweeps):
+    """Cyclic Jacobi rotations in place; returns sweeps used or -1.
+
+    ``av`` stacks the symmetric a (first n rows) over v (last n rows), so
+    one column update rotates a's columns and accumulates v together; a's
+    rows follow.  Each update is ``c*x - s*y`` and ``s*x + c*y`` on whole
+    vectors, elementwise: the same floating-point operations as a loop over
+    single entries, so the bits are the same.  The off-diagonal norm is
+    summed in a sequential loop (numpy's pairwise sum rounds differently).
+    """
+    n = av.shape[1]
+    a = av[:n]
     skip_tol = tol / (n * n)
+    upper = np.triu_indices(n, 1)
     for sweep in range(max_sweeps):
         off = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                off += 2.0 * a[i, j] * a[i, j]
+        for x in a[upper].tolist():
+            off += 2.0 * x * x
         if math.sqrt(off) < tol:
             return sweep
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = a[p, q]
+                apq = float(a[p, q])
                 if abs(apq) <= skip_tol:
                     continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                theta = (float(a[q, q]) - float(a[p, p])) / (2.0 * apq)
                 t = math.copysign(1.0, theta) / (
                     abs(theta) + math.sqrt(theta * theta + 1.0)
                 )
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
-                for i in range(n):
-                    aip = a[i, p]
-                    aiq = a[i, q]
-                    a[i, p] = c * aip - s * aiq
-                    a[i, q] = s * aip + c * aiq
-                for i in range(n):
-                    api = a[p, i]
-                    aqi = a[q, i]
-                    a[p, i] = c * api - s * aqi
-                    a[q, i] = s * api + c * aqi
+                for m in (av, a.T):  # columns of a and v, then rows of a
+                    xp = m[:, p].copy()
+                    xq = m[:, q]
+                    m[:, p] = c * xp - s * xq
+                    m[:, q] = s * xp + c * xq
                 a[p, q] = 0.0
                 a[q, p] = 0.0
-                for i in range(n):
-                    vip = v[i, p]
-                    viq = v[i, q]
-                    v[i, p] = c * vip - s * viq
-                    v[i, q] = s * vip + c * viq
     return -1
-
-
-try:  # JIT the rotation kernel when numba is around; plain Python otherwise
-    from numba import njit
-
-    _jacobi_sweeps = njit(cache=True)(_jacobi_sweeps)
-except ImportError:  # pragma: no cover
-    pass
 
 
 def jacobi_eigh(a, tol=JACOBI_OFFDIAG_TOL, max_sweeps=JACOBI_MAX_SWEEPS):
@@ -172,16 +163,14 @@ def jacobi_eigh(a, tol=JACOBI_OFFDIAG_TOL, max_sweeps=JACOBI_MAX_SWEEPS):
     """
     a = np.array(a, dtype=float)
     n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return a.diagonal().copy(), v
-    if _jacobi_sweeps(a, v, tol, max_sweeps) < 0:
+    av = np.vstack((a, np.eye(n)))
+    if _jacobi_sweeps(av, tol, max_sweeps) < 0:
         raise ConvergenceFailure(
             f"Jacobi did not converge in {max_sweeps} sweeps"
         )
-    w = np.diag(a).copy()
+    w = np.diag(av[:n]).copy()
     order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+    return w[order], av[n:, order]
 
 
 def _perron_eigh(a):

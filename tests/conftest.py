@@ -1,9 +1,11 @@
-"""Shared helpers: deterministic random graph generators, trajectory samples."""
+"""Shared helpers: deterministic random graph generators, trajectory samples,
+and reference implementations that the package is checked against."""
+
+import math
 
 import numpy as np
-import pytest
 
-from ricciflow import MeasuredGraph, MetricAssignment, jacobi_eigh
+from ricciflow import MeasuredGraph, MetricAssignment
 
 # one line per acceptance criterion, echoed after the test summary
 ACCEPTANCE_LINES = []
@@ -14,12 +16,6 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_jacobi():
-    # compile the JIT kernel outside any timed assertion
-    jacobi_eigh(np.array([[2.0, 1.0], [1.0, 3.0]]))
 
 
 def tree_edges_from_pruefer(seq, n):
@@ -92,3 +88,85 @@ def random_metric(rng, g, low=0.5, high=2.0):
 def trajectory_samples(traj):
     """(t, omega row, kappa row) per sample, read from the trajectory segments."""
     return [sample for _, *segment in traj.segments for sample in zip(*segment)]
+
+
+def line_graph_adjacency(g):
+    """Dense 0/1 adjacency matrix B of the line graph of g.
+
+    B[i, j] = 1 iff edges e_i != e_j share a vertex.
+    """
+    n = g.n_edges
+    b = np.zeros((n, n))
+    for i, e in enumerate(g.edges):
+        for j, f in enumerate(g.edges):
+            if i != j and set(e) & set(f):
+                b[i, j] = 1.0
+    return b
+
+
+def curvature_residual(traj):
+    """How well the samples satisfy d omega/dt = -kappa * omega.
+
+    Central differences over consecutive sample triples; needs at least
+    three samples and a constant edge set.
+    """
+    if len(traj.times) < 3:
+        raise ValueError("need at least 3 samples for a central difference")
+    if traj.surgeries:
+        raise ValueError("residual is only defined between surgeries")
+    ((_, times, w, kap),) = traj.segments
+    dwdt = (w[2:] - w[:-2]) / (times[2:] - times[:-2])[:, None]
+    resid = np.abs(dwdt + kap[1:-1] * w[1:-1])
+    return float(np.max(resid))
+
+
+def reference_jacobi_sweeps(av, tol, max_sweeps):
+    """Cyclic Jacobi rotations in place, one matrix entry at a time.
+
+    The scalar form of ``ricciflow.spectral._jacobi_sweeps``, with the
+    same arguments (a stacked over v) and result; the entries are worked on
+    as Python floats, which round exactly as numpy float64 scalars do.
+    """
+    n = av.shape[1]
+    skip_tol = tol / (n * n)
+    am, vm = av[:n].tolist(), av[n:].tolist()
+    sweeps = -1
+    for sweep in range(max_sweeps):
+        off = 0.0
+        for i in range(n - 1):
+            for j in range(i + 1, n):
+                off += 2.0 * am[i][j] * am[i][j]
+        if math.sqrt(off) < tol:
+            sweeps = sweep
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = am[p][q]
+                if abs(apq) <= skip_tol:
+                    continue
+                theta = (am[q][q] - am[p][p]) / (2.0 * apq)
+                t = math.copysign(1.0, theta) / (
+                    abs(theta) + math.sqrt(theta * theta + 1.0)
+                )
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                for i in range(n):
+                    aip = am[i][p]
+                    aiq = am[i][q]
+                    am[i][p] = c * aip - s * aiq
+                    am[i][q] = s * aip + c * aiq
+                for i in range(n):
+                    api = am[p][i]
+                    aqi = am[q][i]
+                    am[p][i] = c * api - s * aqi
+                    am[q][i] = s * api + c * aqi
+                am[p][q] = 0.0
+                am[q][p] = 0.0
+                for i in range(n):
+                    vip = vm[i][p]
+                    viq = vm[i][q]
+                    vm[i][p] = c * vip - s * viq
+                    vm[i][q] = s * vip + c * viq
+    av[:n] = am
+    av[n:] = vm
+    return sweeps

@@ -27,7 +27,6 @@ from ricciflow import (
     forman_flow_exact,
     inverse_curvature,
     jacobi_eigh,
-    line_graph_adjacency,
     lly_edge,
     lly_flow_integrate,
     lly_limit_estimate,
@@ -38,6 +37,7 @@ from ricciflow.spectral import BIG_DEGREE_CASE, K13_CASE, PATH_CASE
 from ricciflow.cli import figure2_graph, figure2_initial_metric
 from conftest import (
     build_measured,
+    line_graph_adjacency,
     random_connected_graph,
     random_metric,
     random_tree,

@@ -628,7 +628,7 @@ def test_error_text_is_independent_of_hash_seed(tmp_path):
         )
         assert proc.returncode == EXIT_INPUT
         errors.append(proc.stderr)
-    assert errors == ["error: omega('b', 'c') must be positive\n"] * 2
+    assert errors == ["error: omega('b', 'c') must be positive and finite\n"] * 2
 
 
 class TestReproduce:

@@ -12,7 +12,6 @@ from ricciflow import (
     MetricAssignment,
     StepSizeTooLarge,
     build_named_graph,
-    curvature_residual,
     forman_flow_exact,
     lly_flow_integrate,
     normalized_flow_state,
@@ -24,6 +23,7 @@ from ricciflow.curvature import forman_kappa
 from ricciflow.flow import CSV_BLOCK_SAMPLES, atomic_write
 from ricciflow.spectral import build_flow_matrix
 from conftest import (
+    curvature_residual,
     random_connected_graph,
     random_metric,
     random_tree,

@@ -17,13 +17,17 @@ from ricciflow import (
     deg_measure,
     distance_matrix,
     is_tree,
-    line_graph_adjacency,
     parse_graph_text,
     shortest_distance,
     surgery_scan,
 )
 from ricciflow.graph import SURGERY_TOL
-from conftest import random_connected_graph, random_metric, random_tree
+from conftest import (
+    line_graph_adjacency,
+    random_connected_graph,
+    random_metric,
+    random_tree,
+)
 
 
 def brute_force_distance(g, omega, u, v, excluded_edge=None):
@@ -163,10 +167,18 @@ class TestMetricAssignment:
 
     def test_nonpositive_and_nan_weights(self):
         g = build_named_graph("path", 2)
-        with pytest.raises(GraphError, match="must be positive"):
-            MetricAssignment.from_vector(g, [1.0, -2.0])
-        # the check is omega <= 0, which nan passes
-        assert math.isnan(MetricAssignment.from_vector(g, [1.0, math.nan]).values[1])
+        for bad in (-2.0, 0.0, -0.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(GraphError, match=r"omega\(1, 2\) must be positive and finite"):
+                MetricAssignment.from_vector(g, [1.0, bad])
+
+    def test_infinite_pendant_weight(self):
+        # the surgery scan would flag an infinite bridge
+        # (inf >= inf - SURGERY_TOL), and a bridge cannot be cut
+        g = MeasuredGraph(
+            (0, 1, 2, 3), ((0, 1), (1, 2), (2, 0), (2, 3)), [1.0] * 4, [1.0] * 4
+        )
+        with pytest.raises(GraphError, match=r"omega\(2, 3\) must be positive and finite"):
+            MetricAssignment.from_vector(g, [1.0, 1.0, 1.0, math.inf])
 
 
 class TestDegMeasure:

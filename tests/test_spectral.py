@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import ricciflow.spectral
 from ricciflow import (
+    ConvergenceFailure,
     GraphError,
+    MeasuredGraph,
     NotATree,
     NotUniformMeasure,
     build_flow_matrix,
@@ -17,7 +20,6 @@ from ricciflow import (
     forman_edge,
     inverse_curvature,
     jacobi_eigh,
-    line_graph_adjacency,
 )
 from ricciflow.spectral import (
     BIG_DEGREE_CASE,
@@ -27,7 +29,13 @@ from ricciflow.spectral import (
     PATH_CASE,
     VANISHING,
 )
-from conftest import random_connected_graph, random_metric, random_tree
+from conftest import (
+    line_graph_adjacency,
+    random_connected_graph,
+    random_metric,
+    random_tree,
+    reference_jacobi_sweeps,
+)
 
 
 class TestFlowMatrix:
@@ -122,6 +130,61 @@ class TestEigendecompose:
         w, v = jacobi_eigh(m)
         assert np.max(np.abs(v.T @ v - np.eye(12))) < 1e-12
         assert np.all(np.diff(w) >= 0)
+
+    def test_sweep_limit_raises(self):
+        m = np.random.default_rng(12).normal(size=(6, 6))
+        m = m + m.T
+        jacobi_eigh(m)  # converges with the default sweep limit
+        with pytest.raises(ConvergenceFailure, match="did not converge in 1 sweeps"):
+            jacobi_eigh(m, max_sweeps=1)
+
+
+def _symmetric_matrices(n, rng):
+    """A dense, a sparse (exact zeros) and a repeated-spectrum matrix of order n."""
+    dense = rng.normal(size=(n, n))
+    sparse = np.where(rng.random((n, n)) < 0.5, 0.0, dense)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    twice = np.repeat(rng.normal(size=(n + 1) // 2), 2)[:n]  # each eigenvalue twice
+    repeated = (q * twice) @ q.T
+    return [0.5 * (x + x.T) for x in (dense, np.triu(sparse) + np.triu(sparse, 1).T, repeated)]
+
+
+def _flow_matrices():
+    rng = np.random.default_rng(50)
+    for n in range(1, 51):
+        yield build_flow_matrix(build_named_graph("path", n)).Ftilde
+    yield build_flow_matrix(build_named_graph("star", 3)).Ftilde
+    yield build_flow_matrix(build_named_graph("complete", 6)).Ftilde
+    edges = random_tree(rng, 51).edges
+    m2 = rng.uniform(0.5, 2.0, len(edges))
+    m1 = np.zeros(51)
+    np.add.at(m1, np.array(edges).ravel(), np.repeat(m2, 2))  # Deg = 1 at every vertex
+    yield build_flow_matrix(MeasuredGraph(tuple(range(51)), edges, m1, m2)).Ftilde
+
+
+class TestJacobiMatchesScalarLoops:
+    """The whole-row rotations give the scalar reference's bits exactly."""
+
+    @staticmethod
+    def _assert_identical(monkeypatch, m):
+        w, v = jacobi_eigh(m)
+        with monkeypatch.context() as patch:
+            patch.setattr(ricciflow.spectral, "_jacobi_sweeps", reference_jacobi_sweeps)
+            w_ref, v_ref = jacobi_eigh(m)
+        assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 12, 20, 33, 60])
+    def test_random_symmetric(self, monkeypatch, n):
+        for m in _symmetric_matrices(n, np.random.default_rng(n)):
+            self._assert_identical(monkeypatch, m)
+
+    def test_exactly_repeated_eigenvalues(self, monkeypatch):
+        self._assert_identical(monkeypatch, np.kron(np.eye(3), [[2.0, 1.0], [1.0, 2.0]]))
+        self._assert_identical(monkeypatch, np.ones((5, 5)))
+
+    def test_flow_matrices(self, monkeypatch):
+        for m in _flow_matrices():
+            self._assert_identical(monkeypatch, m)
 
 
 class TestFlowCoefficients:
