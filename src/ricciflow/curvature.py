@@ -32,6 +32,7 @@ import numpy as np
 
 from .graph import (
     DegenerateMetric,
+    MetricAssignment,
     deg_measure,
     distance_matrix,
     edge_id,
@@ -195,7 +196,8 @@ def lly_edge(g, omega, e):
     shortest path avoiding e, as ``surgery_scan`` decides; otherwise
     DegenerateMetric is raised.  Other edges that are not strict do not
     matter, but on a graph with a cycle a weight anywhere at most
-    SURGERY_TOL / 2 raises too, as the scan cannot resolve strictness there.
+    SURGERY_TOL / 2, or weights about 2^53 apart, raise too, as the scan
+    cannot resolve strictness there.
     """
     x, y = e
     i = g.position(x, y)
@@ -232,13 +234,16 @@ def lly_limit_estimate(g, omega, e, eps=None):
     """Transport-based curvature estimate (1 - W/d) / eps.
 
     Serves as the independent oracle for lly_edge; exact for eps in the
-    lazy regime (eps <= 1 / (2 max Deg)).
+    lazy regime (eps <= 1 / (2 max Deg)).  W / d is scale-free, so both are
+    taken under omega scaled exactly to unit size, where no path length
+    overflows.
     """
     x, y = e
     if eps is None:
         eps = default_epsilon(g)
     mu = kernel(g, x, eps)
     nu = kernel(g, y, eps)
-    d = shortest_distance(g, omega, x, y)
-    w = wasserstein(g, omega, mu, nu)
+    unit = MetricAssignment.from_vector(g, _unit_scale(omega.vector(g))[0])
+    d = shortest_distance(g, unit, x, y)
+    w = wasserstein(g, unit, mu, nu)
     return (1.0 - w / d) / eps

@@ -6,10 +6,11 @@ flow on general graphs is nonlinear (the curvature is an LP value) and is
 integrated with classical RK4 plus surgery; on trees the two curvatures
 coincide, which both speeds up the integrator and gives the exact solution
 as a cross-check.  Surgery never disconnects the graph; on a graph with a
-cycle, a weight that falls to SURGERY_TOL / 2, the surgery scan's
-resolution, ends the flow with DegenerateMetric.  A trajectory keeps its
-samples as arrays in segments, one per edge set: the graph, the sample
-times, and one omega row and one kappa row per sample.
+cycle, a weight that falls to SURGERY_TOL / 2, or weights that spread about
+2^53 apart, past the surgery scan's resolution, end the flow with
+DegenerateMetric.  A trajectory keeps its samples as arrays in segments,
+one per edge set: the graph, the sample times, and one omega row and one
+kappa row per sample.
 """
 
 from __future__ import annotations
@@ -177,7 +178,8 @@ def lly_flow_integrate(g, omega0, t_end, dt, surgery=True):
     recorded every step for small graphs, every 10th step otherwise
     (endpoints always).  ConvergenceFailure if a weight or a recorded
     curvature is not finite; DegenerateMetric, from the scan, if a weight
-    on a graph with a cycle falls to SURGERY_TOL / 2.
+    on a graph with a cycle falls to SURGERY_TOL / 2 or the weights spread
+    about 2^53 apart.
     """
     if t_end < 0:
         raise ValueError("t_end must be nonnegative")
@@ -248,28 +250,34 @@ def write_trajectory_csv(traj, path):
     One row per sample and edge of the trajectory's final graph, which every
     earlier graph contains; omega_normalized divides by the sum over all of
     the sample's edges.  The file is streamed CSV_BLOCK_SAMPLES samples at a
-    time.
+    time, and each sample's time is formatted once for all of its rows.
     """
     atomic_write(path, _trajectory_csv_chunks(traj))
 
 
 def _trajectory_csv_chunks(traj):
+    """Yield the CSV header, then one string per block of samples.
+
+    A sample's template is ``rows`` joined on its time, formatted once, and
+    leaves its 3E values as % slots; one % operation fills a block.
+    """
     final = traj.final_graph()
-    # one sample's rows as a single %-template; vertex ids may hold '%'
+    # vertex ids may hold '%'; a formatted time never does
     ids = [edge_id(u, v).replace("%", "%%") for u, v in final.edges]
-    row = "".join(f"{FLOAT_FMT},{i},{FLOAT_FMT},{FLOAT_FMT},{FLOAT_FMT}\n" for i in ids)
+    rows = ["", *(f",{i},{FLOAT_FMT},{FLOAT_FMT},{FLOAT_FMT}\n" for i in ids)]
     yield "t,edge_id,omega,omega_normalized,kappa\n"
     for snap, times, omega, kappa in traj.segments:
         cols = [snap.position(u, v) for u, v in final.edges]
         for start in range(0, len(times), CSV_BLOCK_SAMPLES):
             block = slice(start, start + CSV_BLOCK_SAMPLES)
-            t, w = times[block, None], omega[block]
+            w = omega[block]
             scaled = w / _row_totals(w)[:, None]
-            values = np.stack(
-                [np.broadcast_to(t, w.shape), w, scaled, kappa[block]], axis=2
-            )[:, cols]
+            values = np.stack([w, scaled, kappa[block]], axis=2)[:, cols]
             # Python floats format faster than numpy scalars
-            yield (row * len(w)) % tuple(values.ravel().tolist())
+            template = "".join(
+                [(FLOAT_FMT % t).join(rows) for t in times[block].tolist()]
+            )
+            yield template % tuple(values.ravel().tolist())
 
 
 def write_surgery_csv(traj, path):

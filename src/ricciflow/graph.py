@@ -10,7 +10,8 @@ shortest omega-weighted path lengths, all read from one matrix
 omega(e) < d_alt - SURGERY_TOL, with d_alt the shortest x-y path avoiding e;
 ``surgery_scan``, the one test of that rule, returns each failing edge's
 index with its exact d_alt, and raises DegenerateMetric on weights at most
-SURGERY_TOL / 2, below its resolution.  So surgery never disconnects a graph.
+SURGERY_TOL / 2 or spread too far apart for float sums, below its
+resolution.  So surgery never disconnects a graph.
 """
 
 from __future__ import annotations
@@ -278,8 +279,9 @@ def distance_matrix(g, omega):
     d = np.full((g.n_vertices, g.n_vertices), math.inf)
     np.fill_diagonal(d, 0.0)
     d[a, b] = d[b, a] = omega.vector(g)
-    for z in range(g.n_vertices):
-        np.minimum(d, d[:, z, None] + d[None, z, :], out=d)
+    with np.errstate(over="ignore"):  # a path longer than the float range is inf
+        for z in range(g.n_vertices):
+            np.minimum(d, d[:, z, None] + d[None, z, :], out=d)
     return d
 
 
@@ -305,8 +307,11 @@ def surgery_scan(g, omega):
     omega(xz) + D(z, y).  A term whose D(z, y) runs back through e_i is at
     least omega(e_i) + 2 min omega, so once min omega > SURGERY_TOL / 2 no
     such term can flag e_i, and a returned d_alt is the exact shortest path
-    avoiding e_i.  Trees have no detour: their scan is empty.  On any other
-    graph a weight at most SURGERY_TOL / 2 raises DegenerateMetric.
+    avoiding e_i.  In floating point that term still exceeds omega(e_i)
+    while max omega + min omega rounds above max omega.  Trees have no
+    detour: their scan is empty.  On any other graph a weight at most
+    SURGERY_TOL / 2, or weights too far apart for that sum, raise
+    DegenerateMetric.
     """
     if is_tree(g):
         return []
@@ -317,13 +322,21 @@ def surgery_scan(g, omega):
             f"omega({edge_id(*g.edges[k])}) = {w[k]:g} is at most SURGERY_TOL / 2,"
             " below the resolution of the surgery scan"
         )
+    # Python floats: a sum past the float range is inf, not a warning
+    lo, hi = float(w[k]), float(np.max(w))
+    if hi + lo == hi:
+        raise DegenerateMetric(
+            f"omega spans {lo:g} to {hi:g}, a ratio beyond the float resolution"
+            " of the surgery scan"
+        )
     d, vid = distance_matrix(g, omega), g.vertex_index
     bad = []
-    for i, (u, v) in enumerate(g.edges):
-        detours = [w[j] + d[vid[z], vid[v]] for z, j in g.adjacency[u] if z != v]
-        alt = min(detours, default=math.inf)
-        if w[i] >= alt - SURGERY_TOL:
-            bad.append((i, float(alt)))
+    with np.errstate(over="ignore"):  # a detour longer than the float range is inf
+        for i, (u, v) in enumerate(g.edges):
+            detours = [w[j] + d[vid[z], vid[v]] for z, j in g.adjacency[u] if z != v]
+            alt = min(detours, default=math.inf)
+            if w[i] >= alt - SURGERY_TOL:
+                bad.append((i, float(alt)))
     return bad
 
 

@@ -1,18 +1,21 @@
-"""What perfbench/tracing.py relies on in the package.
+"""What perfbench/tracing.py and the traced run's LP-count check rely on.
 
 The benchmark wraps functions by module path and replaces every module-level
 binding of each; a renamed function or a function-local import would make it
-trace nothing, or break the LP-count check, without any test failing.
+trace nothing, or break the LP-count check, without any test failing.  A
+changed number of LPs per command breaks that check too.
 """
 
 import importlib
 import importlib.util
 import pathlib
 
+import pytest
 import scipy.optimize
 
 import ricciflow.curvature
 from ricciflow import MetricAssignment, build_named_graph, kernel
+from ricciflow.cli import EXIT_OK, main
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -51,6 +54,14 @@ def test_lp_solves_look_up_the_module_level_binding(monkeypatch):
         solve()
         assert curvature["linprog"] is scipy.optimize.linprog
 
+    calls = count_linprog(monkeypatch)
+    for n, solve in enumerate(solves, start=1):
+        solve()
+        assert len(calls) == n
+
+
+def count_linprog(monkeypatch):
+    """The list of arguments of every ``linprog`` call made from now on."""
     calls = []
 
     def counting(*args, **kwargs):
@@ -58,6 +69,33 @@ def test_lp_solves_look_up_the_module_level_binding(monkeypatch):
         return scipy.optimize.linprog(*args, **kwargs)
 
     monkeypatch.setattr(ricciflow.curvature, "linprog", counting)
-    for n, solve in enumerate(solves, start=1):
-        solve()
-        assert len(calls) == n
+    return calls
+
+
+# The traced benchmark run checks the LP count against a formula: a curvature
+# table solves 2 LPs per edge (the Lin-Lu-Yau LP and one transport LP); a
+# Lin-Lu-Yau flow on a graph with a cycle solves one LP per edge for its t=0
+# sample and 5 per edge and RK4 step (4 stages and the step's sample), on the
+# graph kept by the surgery at t=0.  These tests restate that formula.
+
+
+def test_curvature_table_lp_count(tmp_path, monkeypatch):
+    calls = count_linprog(monkeypatch)
+    assert main(["curvature", "--named", "cycle:5", "--out", str(tmp_path)]) == EXIT_OK
+    assert len(calls) == 2 * 5
+
+
+@pytest.mark.parametrize(
+    "omega0, kept_edges",
+    [("1,1,1,1,1,1", 6), ("1,1,1,1,1,2.5", 5)],
+    ids=["no_surgery", "surgery_at_t0"],
+)
+def test_lly_flow_lp_count(tmp_path, monkeypatch, omega0, kept_edges):
+    calls = count_linprog(monkeypatch)
+    argv = ["flow", "--named", "complete:4", "--kind", "lly", "--omega0", omega0]
+    argv += ["--t-end", "0.1", "--dt", "0.05", "--out", str(tmp_path)]
+    assert main(argv) == EXIT_OK
+    # omega(2-3) = 2.5 is cut at t=0, and the kept graph still has a cycle
+    assert (tmp_path / "flow_complete4_surgery.csv").exists() == (kept_edges == 5)
+    steps = 2
+    assert len(calls) == kept_edges + 5 * kept_edges * steps

@@ -109,6 +109,37 @@ class TestCurvatureCommand:
         for row in rows:
             assert [row["forman"], row["lly"], row["lly_limit_estimate"]] == ["-62"] * 3
 
+    def test_cycle_at_float_max(self, tmp_path):
+        # paths of two such edges overflow: the distances read them as inf and
+        # the transport estimate works on the unit-scaled metric
+        tables = []
+        for x in ("1", "1e308"):
+            argv = ["curvature", "--named", "cycle:4", "--omega0", ",".join([x] * 4)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no numpy warning on stderr either
+                assert main([*argv, "--out", str(tmp_path / x)]) == EXIT_OK
+            tables.append((tmp_path / x / "curvature_cycle4.csv").read_text())
+        assert tables[1] == tables[0]
+
+    @pytest.mark.parametrize(
+        "argv", [["curvature"], ["flow", "--kind", "lly", "--t-end", "0.1", "--dt", "0.05"]]
+    )
+    def test_weights_past_scan_resolution_are_numerical_error(self, tmp_path, capsys, argv):
+        # 1e16 + 1 rounds to 1e16, so a detour back through the bridge 2-3
+        # would match its weight; the scan refuses the spread instead of
+        # flagging the bridge, whose cut would disconnect the graph
+        graph = tmp_path / "bridge.graph"
+        graph.write_text(
+            "graph 4 4\nvertex 0 1\nvertex 1 1\nvertex 2 1\nvertex 3 1\n"
+            "edge 0 1 1 1\nedge 1 2 1 1\nedge 2 0 1 1\nedge 2 3 1 1e16\n"
+        )
+        out = tmp_path / "out"
+        assert main([*argv, "--input", str(graph), "--out", str(out)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "omega spans 1 to 1e+16, a ratio beyond the float resolution" in err
+        assert "2-3" not in err and "connected" not in err
+        assert os.listdir(out) == []
+
     @pytest.mark.parametrize("argv", [["curvature"], ["flow", "--kind", "lly"]])
     def test_weight_below_scan_resolution_is_numerical_error(self, tmp_path, capsys, argv):
         # below SURGERY_TOL / 2 a scan could flag the bridge 2-3, and cutting

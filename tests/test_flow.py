@@ -4,10 +4,13 @@ import stat
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ricciflow.graph
 from ricciflow import (
     DegenerateMetric,
+    FlowTrajectory,
     MeasuredGraph,
     MetricAssignment,
     StepSizeTooLarge,
@@ -394,7 +397,55 @@ def reference_trajectory_csv(traj, graph):
     return "\n".join(lines) + "\n"
 
 
+# values where %.12g takes each of its forms: zeros of both signs,
+# subnormals, exponent form at both ends, and plain decimals
+CSV_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1e-300, -1e-300, 1e300, -1e300]),
+    st.floats(-1e6, 1e6),
+)
+CSV_TIMES = st.one_of(
+    st.sampled_from([0.0, 1e-5, 0.1, 123456789012.5, 1e300]), st.floats(0.0, 1e13)
+)
+
+
+@st.composite
+def csv_trajectories(draw):
+    """1-3 segments on K4 with drawn vertex ids, each segment losing one edge.
+
+    Sample counts fall on both sides of CSV_BLOCK_SAMPLES; the arrays repeat
+    small drawn pools of values, and every omega row has a positive entry.
+    """
+    names = st.text(alphabet="ab%,.-1", min_size=1, max_size=4)
+    vertices = tuple(draw(st.lists(names, min_size=4, max_size=4, unique=True)))
+    edges = tuple((u, v) for i, u in enumerate(vertices) for v in vertices[i + 1 :])
+    g = MeasuredGraph(vertices, edges, [1.0] * 4, [1.0] * 6)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = st.sampled_from([0, 1, 2, CSV_BLOCK_SAMPLES, CSV_BLOCK_SAMPLES + 1])
+    times = draw(st.lists(CSV_TIMES, min_size=1, max_size=6))
+    values = draw(st.lists(CSV_VALUES, min_size=1, max_size=6))
+    weights = [x if x == 0 else abs(x) for x in values]
+    segments = []
+    for k in range(draw(st.integers(1, 3))):
+        if k:  # K4 less at most two edges is connected
+            g = g.without_edge(draw(st.integers(0, g.n_edges - 1)))
+        n = draw(sizes)
+        omega = rng.choice(weights, (n, g.n_edges))
+        omega[:, 0] = np.where(omega.max(axis=1) > 0, omega[:, 0], 1.0)
+        kappa = rng.choice(values, (n, g.n_edges))
+        segments.append((g, rng.choice(times, n), omega, kappa))
+    return FlowTrajectory(segments)
+
+
 class TestBlockWriter:
+    @settings(max_examples=20, deadline=None)
+    @given(csv_trajectories())
+    def test_matches_reference(self, tmp_path_factory, traj):
+        out = tmp_path_factory.mktemp("csv") / "traj.csv"
+        write_trajectory_csv(traj, out)
+        # lists of lines: pytest's diff of two long strings is slow to shrink on
+        expected = reference_trajectory_csv(traj, traj.final_graph())
+        assert out.read_text().splitlines() == expected.splitlines()
+
     @pytest.mark.parametrize("blocks", [1, 2])
     def test_normalized_forman_matches_reference(self, tmp_path, blocks):
         # vertex ids holding '%' must not reach the format template unescaped

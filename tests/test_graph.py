@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -140,6 +141,11 @@ class TestConstruction:
         assert g.m1.tolist() == [1.0, 2.0, 3.0] and g.m2.tolist() == [4.0, 5.0]
 
 
+TRIANGLE_WITH_PENDANT = MeasuredGraph(
+    (0, 1, 2, 3), ((0, 1), (1, 2), (2, 0), (2, 3)), [1.0] * 4, [1.0] * 4
+)
+
+
 class TestMetricAssignment:
     def test_rejects_wrong_length(self):
         g = build_named_graph("path", 3)
@@ -174,11 +180,8 @@ class TestMetricAssignment:
     def test_infinite_pendant_weight(self):
         # the surgery scan would flag an infinite bridge
         # (inf >= inf - SURGERY_TOL), and a bridge cannot be cut
-        g = MeasuredGraph(
-            (0, 1, 2, 3), ((0, 1), (1, 2), (2, 0), (2, 3)), [1.0] * 4, [1.0] * 4
-        )
         with pytest.raises(GraphError, match=r"omega\(2, 3\) must be positive and finite"):
-            MetricAssignment.from_vector(g, [1.0, 1.0, 1.0, math.inf])
+            MetricAssignment.from_vector(TRIANGLE_WITH_PENDANT, [1.0, 1.0, 1.0, math.inf])
 
 
 class TestDegMeasure:
@@ -217,6 +220,14 @@ class TestShortestDistance:
                 assert shortest_distance(g, w, u, v) == pytest.approx(
                     brute_force_distance(g, w, u, v)
                 )
+
+    def test_path_past_float_range_is_inf(self):
+        g = build_named_graph("cycle", 4)
+        w = MetricAssignment.from_vector(g, [1e308] * 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning
+            d = distance_matrix(g, w)
+        assert d[0, 1] == 1e308 and d[0, 2] == math.inf
 
     @pytest.mark.parametrize("seed", range(5))
     def test_metric_axioms(self, seed):
@@ -281,6 +292,14 @@ def tiny_weighted_graphs(draw):
     return g, MetricAssignment.from_vector(g, values)
 
 
+@st.composite
+def wide_weighted_graphs(draw):
+    """``weighted_graphs`` with weights spread over 2**0 to 2**61."""
+    g, _ = draw(weighted_graphs())
+    w = [math.ldexp(draw(st.floats(1.0, 2.0)), draw(st.integers(0, 60))) for _ in g.edges]
+    return g, MetricAssignment.from_vector(g, w)
+
+
 class TestSurgery:
     @settings(max_examples=80, deadline=None)
     @given(weighted_graphs())
@@ -304,6 +323,30 @@ class TestSurgery:
             e = g.edges[i]
             exact = brute_force_distance(g, w, *e, excluded_edge=e)
             assert alt == pytest.approx(exact, rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(wide_weighted_graphs())
+    def test_scan_never_flags_a_bridge(self, case):
+        # a detour back through an edge can round to the edge's own weight
+        # once max omega + min omega rounds to max omega; the scan refuses
+        # such a spread instead of flagging the edge, which may be a bridge
+        g, w = case
+        lo, hi = float(w.values.min()), float(w.values.max())
+        if not is_tree(g) and hi + lo == hi:
+            with pytest.raises(DegenerateMetric, match="beyond the float resolution"):
+                surgery_scan(g, w)
+            return
+        for i, _ in surgery_scan(g, w):
+            g.without_edge(i)  # GraphError if the edge is a bridge
+
+    @pytest.mark.parametrize("bridge, refused", [(1e15, False), (1e16, True)])
+    def test_huge_bridge_weight(self, bridge, refused):
+        w = MetricAssignment.from_vector(TRIANGLE_WITH_PENDANT, [1.0, 1.0, 1.0, bridge])
+        if not refused:
+            assert surgery_scan(TRIANGLE_WITH_PENDANT, w) == []
+        else:
+            with pytest.raises(DegenerateMetric, match=r"omega spans 1 to 1e\+16"):
+                surgery_scan(TRIANGLE_WITH_PENDANT, w)
 
     @pytest.mark.parametrize(
         "n, weights, n_bad",
