@@ -18,6 +18,22 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+def count_linprog(monkeypatch):
+    """The list of arguments of every ``linprog`` call made from now on."""
+    import scipy.optimize
+
+    import ricciflow.curvature
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return scipy.optimize.linprog(*args, **kwargs)
+
+    monkeypatch.setattr(ricciflow.curvature, "linprog", counting)
+    return calls
+
+
 def tree_edges_from_pruefer(seq, n):
     """Decode a Pruefer sequence into the edge list of a labeled tree on n nodes."""
     degree = [1] * n

@@ -16,6 +16,7 @@ import scipy.optimize
 import ricciflow.curvature
 from ricciflow import MetricAssignment, build_named_graph, kernel
 from ricciflow.cli import EXIT_OK, main
+from conftest import count_linprog
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -58,18 +59,6 @@ def test_lp_solves_look_up_the_module_level_binding(monkeypatch):
     for n, solve in enumerate(solves, start=1):
         solve()
         assert len(calls) == n
-
-
-def count_linprog(monkeypatch):
-    """The list of arguments of every ``linprog`` call made from now on."""
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return scipy.optimize.linprog(*args, **kwargs)
-
-    monkeypatch.setattr(ricciflow.curvature, "linprog", counting)
-    return calls
 
 
 # The traced benchmark run checks the LP count against a formula: a curvature

@@ -12,6 +12,7 @@ import pytest
 
 import ricciflow.flow
 from ricciflow.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, build_parser, main
+from conftest import count_linprog
 
 
 def read_csv_rows(path):
@@ -49,17 +50,7 @@ class TestCurvatureCommand:
         assert "error" in capsys.readouterr().err
 
     def test_bad_epsilon_is_found_before_any_lp(self, tmp_path, capsys, monkeypatch):
-        import scipy.optimize
-
-        import ricciflow.curvature
-
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return scipy.optimize.linprog(*args, **kwargs)
-
-        monkeypatch.setattr(ricciflow.curvature, "linprog", counting)
+        calls = count_linprog(monkeypatch)
         code = main(
             ["curvature", "--named", "complete:9", "--epsilon", "1", "--out", str(tmp_path)]
         )
