@@ -20,7 +20,6 @@ from .graph import (
 )
 from .curvature import (
     EpsilonTooLarge,
-    ProbabilityKernel,
     default_epsilon,
     forman_edge,
     forman_vector,

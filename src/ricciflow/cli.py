@@ -164,9 +164,12 @@ def cmd_curvature(args):
     g, omega, name = _resolve_graph(args)
     eps = default_epsilon(g)
     if args.epsilon is not None:
+        floor = eps / 100  # below it LP tolerances swamp the kernels' small masses
         eps = _finite_float(args.epsilon, "--epsilon")
         for x in g.vertices:
             kernel(g, x, eps)  # EpsilonTooLarge before any LP is solved
+        if eps < floor:
+            raise InputError(f"--epsilon {eps:g} is below default epsilon / 100 = {floor:g}")
     forman = forman_vector(g, omega).tolist()
     lly = lly_vector(g, omega).tolist()
     lines = ["edge,forman,lly,lly_limit_estimate"]

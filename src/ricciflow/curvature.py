@@ -8,7 +8,9 @@ in the order of ``g.edges``; ``forman_edge`` and ``lly_edge`` return one.
 Lin-Lu-Yau curvature comes in two independent routes: an exact linear
 program over Lipschitz potentials (``lly_edge``) and a finite-laziness
 transport estimate (``lly_limit_estimate``) built from Wasserstein
-distances between lazy random-walk kernels.  The two agree to solver
+distances between lazy random-walk kernels.  A kernel is a pair of arrays,
+vertex positions and masses, and the estimate reads d(x, y) and every
+transport cost from one distance matrix.  The two routes agree to solver
 precision for sufficiently lazy kernels, which the tests exploit.
 
 The curvatures are scale-invariant but HiGHS's tolerances are absolute, so
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +37,6 @@ from .graph import (
     deg_measure,
     distance_matrix,
     edge_id,
-    shortest_distance,
     surgery_scan,
 )
 from .spectral import build_flow_matrix
@@ -60,24 +60,6 @@ _module = sys.modules[__name__]
 
 class EpsilonTooLarge(ValueError):
     """Laziness parameter too large for a positive self-mass."""
-
-
-@dataclass(frozen=True)
-class ProbabilityKernel:
-    """Lazy transition kernel seated at one vertex.
-
-    Mass 1 - eps * Deg(x) stays at x; each neighbor y receives
-    eps * m2(x, y) / m1(x).
-    """
-
-    base_vertex: object
-    epsilon: float
-    masses: dict  # vertex -> nonnegative mass
-
-    def __post_init__(self):
-        total = sum(self.masses.values())
-        if abs(total - 1.0) > KERNEL_MASS_TOL:
-            raise ValueError(f"kernel masses sum to {total}, expected 1")
 
 
 def _unit_scale(x):
@@ -109,7 +91,12 @@ def forman_vector(g, omega):
 
 
 def kernel(g, x, eps):
-    """Lazy transition kernel at x; requires eps < 1 / Deg(x)."""
+    """Lazy transition kernel at x as (vertex positions, masses) arrays.
+
+    Mass 1 - eps * Deg(x) stays at x, listed first; each neighbor y, in
+    ``g.adjacency`` order, receives eps * m2(x, y) / m1(x).  Requires
+    0 < eps < 1 / Deg(x).
+    """
     g.check_vertex(x)
     if eps <= 0.0:
         raise EpsilonTooLarge("epsilon must be positive")
@@ -118,27 +105,30 @@ def kernel(g, x, eps):
         raise EpsilonTooLarge(
             f"epsilon {eps} >= 1/Deg({x!r}) = {1.0 / deg}"
         )
-    masses = {x: 1.0 - eps * deg}
-    m1 = float(g.m1[g.vertex_index[x]])
-    for y, j in g.adjacency[x]:
-        masses[y] = eps * float(g.m2[j]) / m1
-    return ProbabilityKernel(base_vertex=x, epsilon=eps, masses=masses)
-
-
-def wasserstein(g, omega, mu, nu):
-    """Exact optimal transport cost between two kernels under d_omega."""
-    src = [a for a, m in mu.masses.items() if m > 0.0]
-    dst = [b for b, m in nu.masses.items() if m > 0.0]
-    ns, nd = len(src), len(dst)
     vid = g.vertex_index
-    d = distance_matrix(g, omega)
-    c, k = _unit_scale(d[np.ix_([vid[a] for a in src], [vid[b] for b in dst])].ravel())
-    a_eq = np.zeros((ns + nd, ns * nd))
-    for i in range(ns):
-        a_eq[i, i * nd : (i + 1) * nd] = 1.0
-    for j in range(nd):
-        a_eq[ns + j, j::nd] = 1.0
-    b_eq = np.array([mu.masses[a] for a in src] + [nu.masses[b] for b in dst])
+    nbrs, edges = zip(*g.adjacency[x])
+    positions = np.array([vid[x], *(vid[y] for y in nbrs)])
+    masses = np.concatenate([[1.0 - eps * deg], eps * g.m2[list(edges)] / g.m1[vid[x]]])
+    total = float(np.sum(masses))
+    if abs(total - 1.0) > KERNEL_MASS_TOL:
+        raise ValueError(f"kernel masses sum to {total}, expected 1")
+    return positions, masses
+
+
+def wasserstein(d, mu, nu):
+    """Exact optimal transport cost between two kernels under the distances d.
+
+    ``mu`` and ``nu`` are (vertex positions, masses) pairs as ``kernel``
+    returns them, and ``d`` a distance matrix over those positions.  The
+    plan has one variable per (source, target) pair of positive masses,
+    source-major.
+    """
+    (src, a), (dst, b) = ((p[m > 0.0], m[m > 0.0]) for p, m in (mu, nu))
+    ns, nd = len(src), len(dst)
+    c, k = _unit_scale(d[np.ix_(src, dst)].ravel())
+    # row i sums the plan out of src[i], row ns + j the plan into dst[j]
+    a_eq = np.vstack([np.kron(np.eye(ns), np.ones(nd)), np.tile(np.eye(nd), ns)])
+    b_eq = np.concatenate([a, b])
 
     res = _module.linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if not res.success:
@@ -235,8 +225,8 @@ def lly_limit_estimate(g, omega, e, eps=None):
 
     Serves as the independent oracle for lly_edge; exact for eps in the
     lazy regime (eps <= 1 / (2 max Deg)).  W / d is scale-free, so both are
-    taken under omega scaled exactly to unit size, where no path length
-    overflows.
+    read from one distance matrix of omega scaled exactly to unit size,
+    where no path length overflows.
     """
     x, y = e
     if eps is None:
@@ -244,6 +234,6 @@ def lly_limit_estimate(g, omega, e, eps=None):
     mu = kernel(g, x, eps)
     nu = kernel(g, y, eps)
     unit = MetricAssignment.from_vector(g, _unit_scale(omega.vector(g))[0])
-    d = shortest_distance(g, unit, x, y)
-    w = wasserstein(g, unit, mu, nu)
-    return (1.0 - w / d) / eps
+    d = distance_matrix(g, unit)
+    vid = g.vertex_index
+    return (1.0 - wasserstein(d, mu, nu) / float(d[vid[x], vid[y]])) / eps

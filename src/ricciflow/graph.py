@@ -371,7 +371,8 @@ def parse_graph_text(text):
     """Parse the line-oriented graph format.
 
     Header ``graph <nv> <ne>``, then ``vertex <id> <m1>`` lines, then
-    ``edge <u> <v> <m2> [<omega0>]`` lines.  ``#`` starts a comment.
+    ``edge <u> <v> <m2> [<omega0>]`` lines.  ``#`` starts a comment.  A
+    vertex id holds no ``,`` or ``"``, so edge ids fit unquoted CSV fields.
     Returns (MeasuredGraph, MetricAssignment or None).  Edge order in the
     file fixes matrix indices.
     """
@@ -397,6 +398,8 @@ def parse_graph_text(text):
         if parts[0] == "vertex":
             if len(parts) != 3:
                 raise GraphParseError(f"bad vertex line: {line!r}")
+            if "," in parts[1] or '"' in parts[1]:
+                raise GraphParseError(f"vertex id holds ',' or '\"': {line!r}")
             m1.append(_parse_finite(parts[2], "vertex measure", line))
             vertices.append(parts[1])
         elif parts[0] == "edge":

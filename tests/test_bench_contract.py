@@ -14,7 +14,7 @@ import pytest
 import scipy.optimize
 
 import ricciflow.curvature
-from ricciflow import MetricAssignment, build_named_graph, kernel
+from ricciflow import MetricAssignment, build_named_graph, distance_matrix, kernel
 from ricciflow.cli import EXIT_OK, main
 from conftest import count_linprog
 
@@ -45,10 +45,10 @@ def test_lp_solves_look_up_the_module_level_binding(monkeypatch):
     curvature = vars(ricciflow.curvature)
     g = build_named_graph("cycle", 5)
     omega = MetricAssignment.uniform(g)
-    mu, nu = kernel(g, 0, 0.1), kernel(g, 1, 0.1)
+    d, mu, nu = distance_matrix(g, omega), kernel(g, 0, 0.1), kernel(g, 1, 0.1)
     solves = (
         lambda: ricciflow.curvature.lly_edge(g, omega, (0, 1)),
-        lambda: ricciflow.curvature.wasserstein(g, omega, mu, nu),
+        lambda: ricciflow.curvature.wasserstein(d, mu, nu),
     )
     for solve in solves:
         monkeypatch.delitem(curvature, "linprog", raising=False)

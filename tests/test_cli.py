@@ -10,7 +10,9 @@ import warnings
 
 import pytest
 
+import ricciflow.curvature
 import ricciflow.flow
+import ricciflow.graph
 from ricciflow.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, build_parser, main
 from conftest import count_linprog
 
@@ -170,6 +172,54 @@ class TestCurvatureCommand:
         _, rows = read_csv_rows(tmp_path / "curvature_tri.csv")
         for row in rows:
             assert float(row["lly"]) == pytest.approx(3.0, abs=1e-9)
+
+    @pytest.mark.parametrize("vertex", ["a,b", 'a"b'])
+    def test_vertex_id_that_breaks_csv_is_input_error(self, tmp_path, capsys, vertex):
+        f = tmp_path / "tri.graph"
+        f.write_text(
+            f"graph 3 3\nvertex {vertex} 1\nvertex c 1\nvertex d 1\n"
+            f"edge {vertex} c 1\nedge c d 1\nedge d {vertex} 1\n"
+        )
+        out = tmp_path / "out"
+        assert main(["curvature", "--input", str(f), "--out", str(out)]) == EXIT_INPUT
+        assert "vertex id" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--named", "cycle:4", "--epsilon", "1e-7"],
+            ["--named", "complete:4", "--measure", "normalized", "--m2", "1,2,3,4,5,6",
+             "--epsilon", "1e-9"],
+        ],
+        ids=["cycle4", "complete4_normalized"],
+    )
+    def test_epsilon_below_floor_is_found_before_any_lp(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        # far below the default the LP tolerances swamp the kernels' small
+        # masses, and the estimate would be wrong (3.0000000 beside lly 2)
+        calls = count_linprog(monkeypatch)
+        out = tmp_path / "out"
+        assert main(["curvature", *argv, "--out", str(out)]) == EXIT_INPUT
+        assert "below default epsilon / 100" in capsys.readouterr().err
+        assert calls == []
+        assert os.listdir(out) == []
+
+    def test_one_distance_matrix_per_estimate(self, tmp_path, monkeypatch):
+        # the surgery scan before the LLY LPs builds one, and each edge's
+        # transport estimate one, from which it reads d(x, y) and its costs
+        builds = []
+        original = ricciflow.graph.distance_matrix
+
+        def counting(g, omega):
+            builds.append(g)
+            return original(g, omega)
+
+        for module in (ricciflow.graph, ricciflow.curvature):
+            monkeypatch.setattr(module, "distance_matrix", counting)
+        assert main(["curvature", "--named", "cycle:5", "--out", str(tmp_path)]) == EXIT_OK
+        assert len(builds) == 5 + 1
 
 
 class TestSpectrumCommand:

@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ricciflow import (
     DegenerateMetric,
     EpsilonTooLarge,
+    MeasuredGraph,
     MetricAssignment,
     build_named_graph,
     deg_measure,
     default_epsilon,
+    distance_matrix,
     forman_edge,
     forman_vector,
     is_tree,
@@ -108,20 +112,19 @@ class TestScaleInvariance:
 class TestKernel:
     def test_p3_interior(self):
         g = build_named_graph("path", 2)
-        k = kernel(g, 1, 0.25)
-        assert k.masses[1] == pytest.approx(0.5)
-        assert k.masses[0] == pytest.approx(0.25)
-        assert k.masses[2] == pytest.approx(0.25)
+        positions, masses = kernel(g, 1, 0.25)
+        assert positions.tolist() == [1, 0, 2]  # x first, then its neighbors
+        assert masses == pytest.approx([0.5, 0.25, 0.25])
 
     def test_small_epsilon_is_nearly_point_mass(self):
         g = build_named_graph("star", 4)
-        k = kernel(g, 0, 1e-9)
-        assert k.masses[0] == pytest.approx(1.0, abs=1e-8)
+        _, masses = kernel(g, 0, 1e-9)
+        assert masses[0] == pytest.approx(1.0, abs=1e-8)
 
     def test_normalized_measures_half(self):
         g = build_named_graph("star", 3, "normalized_deg1", m2_values=[1.0, 2.0, 3.0])
         for x in g.vertices:
-            assert kernel(g, x, 0.5).masses[x] == pytest.approx(0.5)
+            assert kernel(g, x, 0.5)[1][0] == pytest.approx(0.5)
 
     def test_epsilon_too_large(self):
         g = build_named_graph("star", 3)
@@ -133,26 +136,24 @@ class TestKernel:
         rng = np.random.default_rng(seed)
         g = random_connected_graph(rng, 7, 2, uniform_measures=False)
         for x in g.vertices:
-            k = kernel(g, x, 0.9 / deg_measure(g, x))
-            assert sum(k.masses.values()) == pytest.approx(1.0, abs=1e-12)
-            assert all(0.0 <= m <= 1.0 for m in k.masses.values())
+            _, masses = kernel(g, x, 0.9 / deg_measure(g, x))
+            assert masses.sum() == pytest.approx(1.0, abs=1e-12)
+            assert all(0.0 <= m <= 1.0 for m in masses)
 
 
 class TestWasserstein:
     def test_identical_kernels(self):
         g = build_named_graph("cycle", 4)
-        w = MetricAssignment.uniform(g)
+        d = distance_matrix(g, MetricAssignment.uniform(g))
         k = kernel(g, 0, 0.1)
-        assert wasserstein(g, w, k, k) == pytest.approx(0.0, abs=1e-12)
+        assert wasserstein(d, k, k) == pytest.approx(0.0, abs=1e-12)
 
     def test_point_masses(self):
-        from ricciflow import ProbabilityKernel
-
         g = build_named_graph("path", 3)
-        w = MetricAssignment.from_vector(g, [1.0, 2.0, 0.5])
-        mu = ProbabilityKernel(0, 1e-6, {0: 1.0})
-        nu = ProbabilityKernel(3, 1e-6, {3: 1.0})
-        assert wasserstein(g, w, mu, nu) == pytest.approx(3.5)
+        d = distance_matrix(g, MetricAssignment.from_vector(g, [1.0, 2.0, 0.5]))
+        mu = (np.array([0]), np.array([1.0]))
+        nu = (np.array([3]), np.array([1.0]))
+        assert wasserstein(d, mu, nu) == pytest.approx(3.5)
 
     def test_consistency_with_lly(self):
         g = build_named_graph("path", 2)
@@ -160,7 +161,8 @@ class TestWasserstein:
         e = g.edges[0]
         eps = 0.1
         kap = lly_edge(g, w, e)
-        wd = wasserstein(g, w, kernel(g, e[0], eps), kernel(g, e[1], eps))
+        d = distance_matrix(g, w)
+        wd = wasserstein(d, kernel(g, e[0], eps), kernel(g, e[1], eps))
         assert wd == pytest.approx(1.0 * (1.0 - eps * kap))
 
 
@@ -268,3 +270,49 @@ class TestLLYLimitOracle:
             kap = lly_edge(g, w, e)
             assert kap >= forman_edge(g, w, e) - 1e-8
             assert abs(kap - lly_limit_estimate(g, w, e)) < 1e-6
+
+
+@st.composite
+def strict_measured_metrics(draw):
+    """Random connected graph on at most 7 vertices with a strict metric.
+
+    A tree plus random chords, under uniform measures or degree-normalized
+    ones (random m2, m1(x) the sum of incident m2, so Deg = 1).  Weights lie
+    in [1, 1.9], so every detour, two edges or more, is longer than its edge.
+    """
+    n = draw(st.integers(2, 7))
+    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    chords = [(i, j) for j in range(n) for i in range(j) if (i, j) not in edges]
+    if chords:
+        edges += draw(st.lists(st.sampled_from(chords), unique=True, max_size=8))
+    if draw(st.booleans()):
+        m1, m2 = [1.0] * n, [1.0] * len(edges)
+    else:
+        m2 = draw(st.lists(st.floats(0.5, 2.0), min_size=len(edges), max_size=len(edges)))
+        m1 = [0.0] * n
+        for (u, v), a in zip(edges, m2):
+            m1[u] += a
+            m1[v] += a
+    g = MeasuredGraph(tuple(range(n)), tuple(edges), m1, m2)
+    w = draw(st.lists(st.floats(1.0, 1.9), min_size=len(edges), max_size=len(edges)))
+    return g, MetricAssignment.from_vector(g, w)
+
+
+class TestCurvatureProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(strict_measured_metrics())
+    def test_lly_dominates_forman_with_equality_on_trees(self, case):
+        g, w = case
+        lly, forman = lly_vector(g, w), forman_vector(g, w)
+        assert np.all(lly >= forman - 1e-8)
+        if is_tree(g):
+            assert np.allclose(lly, forman, rtol=0, atol=1e-8)
+
+    @settings(max_examples=20, deadline=None)
+    @given(strict_measured_metrics())
+    def test_transport_estimate_agrees_with_lp(self, case):
+        g, w = case
+        lly = lly_vector(g, w)
+        for eps in (default_epsilon(g), default_epsilon(g) / 2):
+            estimate = [lly_limit_estimate(g, w, e, eps) for e in g.edges]
+            assert np.allclose(estimate, lly, rtol=0, atol=1e-6)
