@@ -15,7 +15,7 @@ precision for sufficiently lazy kernels, which the tests exploit.
 
 The curvatures are scale-invariant but HiGHS's tolerances are absolute, so
 LPs and Forman products run on omega scaled exactly to unit size by a power
-of two (``_unit_scale``).
+of two (``graph._unit_scale``), as the surgery scan does.
 
 Both routes solve their LPs with ``scipy.optimize.linprog`` (HiGHS).  It is
 imported on first use, so the Forman and spectral commands start on numpy
@@ -34,6 +34,7 @@ import numpy as np
 from .graph import (
     DegenerateMetric,
     MetricAssignment,
+    _unit_scale,
     deg_measure,
     distance_matrix,
     edge_id,
@@ -60,12 +61,6 @@ _module = sys.modules[__name__]
 
 class EpsilonTooLarge(ValueError):
     """Laziness parameter too large for a positive self-mass."""
-
-
-def _unit_scale(x):
-    """(x / 2**k, k), k = floor(log2(max x)): exact, the largest in [1, 2)."""
-    k = math.frexp(float(np.max(x)))[1] - 1
-    return np.ldexp(x, -k), k
 
 
 def forman_kappa(f, w):
@@ -182,12 +177,8 @@ def _lly_lp(g, a_ub, b_ub, x, y, d):
 def lly_edge(g, omega, e):
     """Exact Lin-Lu-Yau curvature of the edge e via the limit-free LP.
 
-    The edge must be strict, omega(e) < d_alt - SURGERY_TOL with d_alt the
-    shortest path avoiding e, as ``surgery_scan`` decides; otherwise
-    DegenerateMetric is raised.  Other edges that are not strict do not
-    matter, but on a graph with a cycle a weight anywhere at most
-    SURGERY_TOL / 2, or weights about 2^53 apart, raise too, as the scan
-    cannot resolve strictness there.
+    DegenerateMetric unless e is strict, as ``surgery_scan`` decides; other
+    edges need not be.
     """
     x, y = e
     i = g.position(x, y)

@@ -5,12 +5,12 @@ solution omega(t, e_l) = sum_i c_i(e_l) exp(lambda_i t).  The Lin-Lu-Yau
 flow on general graphs is nonlinear (the curvature is an LP value) and is
 integrated with classical RK4 plus surgery; on trees the two curvatures
 coincide, which both speeds up the integrator and gives the exact solution
-as a cross-check.  Surgery never disconnects the graph; on a graph with a
-cycle, a weight that falls to SURGERY_TOL / 2, or weights that spread about
-2^53 apart, past the surgery scan's resolution, end the flow with
-DegenerateMetric.  A trajectory keeps its samples as arrays in segments,
-one per edge set: the graph, the sample times, and one omega row and one
-kappa row per sample.
+as a cross-check.  Surgery never disconnects the graph.  Both flows end
+with ConvergenceFailure, naming the time, once a sample weight leaves the
+normal float range [TINY, inf): below TINY it has lost precision, and a
+flow that carried on there would write wrong weights.  A trajectory keeps
+its samples as arrays in segments, one per edge set: the graph, the sample
+times, and one omega row and one kappa row per sample.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ SAMPLE_EVERY_THRESHOLD = 64  # edges; beyond this keep every 10th step
 MAX_STEP_HALVINGS = 20
 FLOAT_FMT = "%.12g"  # 12 significant digits keep output files diff-stable
 CSV_BLOCK_SAMPLES = 256  # samples formatted by one % operation
+TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 class StepSizeTooLarge(RuntimeError):
@@ -80,8 +81,8 @@ def forman_flow_exact(g, omega0, times):
     """Evaluate the exact spectral Forman-flow solution at the given times.
 
     The linear flow is globally defined and positivity-preserving, so no
-    surgery is applied.  ConvergenceFailure if a weight overflows or
-    underflows to zero, or a curvature is not finite, at some time.
+    surgery is applied.  ConvergenceFailure if a weight leaves [TINY, inf),
+    or a curvature is not finite, at some time.
     """
     tarr = np.asarray(times, dtype=float)
     # negated comparisons also reject nan times
@@ -94,7 +95,7 @@ def forman_flow_exact(g, omega0, times):
         # omega[s, l] = sum_i coeff[i, l] exp(lambda_i t_s)
         w = np.exp(np.outer(tarr, sd.eigenvalues)) @ coeff
         kappa = forman_kappa(fm.F, w)
-    ok = ((w > 0.0) & (w < np.inf) & np.isfinite(kappa)).all(axis=1)
+    ok = ((w >= TINY) & (w < np.inf) & np.isfinite(kappa)).all(axis=1)
     if not ok.all():
         raise ConvergenceFailure(
             f"Forman flow leaves the floating-point range at t={tarr[ok.argmin()]:g}"
@@ -147,8 +148,9 @@ def _rk4_step(kappa_fn, w, h):
     return out
 
 
-def _require_finite(t, values):
-    if not np.isfinite(values).all():
+def _require_in_range(t, values, low=-np.inf):
+    # ConvergenceFailure naming t unless every value is finite and >= low
+    if not (np.isfinite(values) & (values >= low)).all():
         raise ConvergenceFailure(
             f"Lin-Lu-Yau flow leaves the floating-point range at t={t:g}"
         )
@@ -176,10 +178,8 @@ def lly_flow_integrate(g, omega0, t_end, dt, surgery=True):
     The surgery scan runs once before each accepted step; removed edges
     restart the system on the reduced graph in a new segment.  Samples are
     recorded every step for small graphs, every 10th step otherwise
-    (endpoints always).  ConvergenceFailure if a weight or a recorded
-    curvature is not finite; DegenerateMetric, from the scan, if a weight
-    on a graph with a cycle falls to SURGERY_TOL / 2 or the weights spread
-    about 2^53 apart.
+    (endpoints always).  ConvergenceFailure if a weight, at t=0 or after
+    any step, leaves [TINY, inf), or a recorded curvature is not finite.
     """
     if t_end < 0:
         raise ValueError("t_end must be nonnegative")
@@ -196,7 +196,7 @@ def lly_flow_integrate(g, omega0, t_end, dt, surgery=True):
     def record(t, w_vec):
         with np.errstate(over="ignore", invalid="ignore"):  # raised just below
             kappa = kappa_fn(w_vec)
-        _require_finite(t, kappa)
+        _require_in_range(t, kappa)
         _, times, omega_rows, kappa_rows = rows[-1]
         times.append(t)
         omega_rows.append(w_vec)
@@ -214,6 +214,7 @@ def lly_flow_integrate(g, omega0, t_end, dt, surgery=True):
             kappa_fn = _lly_kappa_fn(graph)
             w = cut.vector(graph)
 
+    _require_in_range(0.0, w, TINY)
     if surgery:
         maybe_operate(0.0)
     record(0.0, w)
@@ -226,7 +227,7 @@ def lly_flow_integrate(g, omega0, t_end, dt, surgery=True):
         h = min(dt, t_end - t)
         w = _advance(kappa_fn, w, h)
         t += h
-        _require_finite(t, w)
+        _require_in_range(t, w, TINY)
         step_no += 1
         keep_every = 1 if graph.n_edges <= SAMPLE_EVERY_THRESHOLD else 10
         if step_no % keep_every == 0 or t >= t_end - 1e-12:

@@ -7,11 +7,12 @@ An edge is the ordered pair (u, v) it was given as; ``position`` finds it
 from either end and ``edge_id`` is its one text form.  Distances are
 shortest omega-weighted path lengths, all read from one matrix
 (``distance_matrix``).  An edge e = (x, y) is strict while
-omega(e) < d_alt - SURGERY_TOL, with d_alt the shortest x-y path avoiding e;
-``surgery_scan``, the one test of that rule, returns each failing edge's
-index with its exact d_alt, and raises DegenerateMetric on weights at most
-SURGERY_TOL / 2 or spread too far apart for float sums, below its
-resolution.  So surgery never disconnects a graph.
+omega(e) (1 + SURGERY_TOL) < d_alt, with d_alt the shortest x-y path
+avoiding e: like curvature, the rule is scale-free.  ``surgery_scan``, the
+one test of it, reads omega at unit scale, divided exactly by the power of
+two ``_unit_scale`` picks for the curvature LPs too, and returns each
+failing edge's index with its exact d_alt; a bridge has no detour, so
+surgery never disconnects a graph.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class GraphParseError(GraphError):
 
 
 class DegenerateMetric(ValueError):
-    """An edge is not strict, or a weight is below ``surgery_scan``'s resolution."""
+    """An edge is not strict, or weights too far apart to scale to unit size."""
 
 
 def edge_id(u, v):
@@ -270,15 +271,31 @@ def deg_measure(g, x):
     return sum(m2) / float(g.m1[g.vertex_index[x]])
 
 
+def _unit_scale(x):
+    """(x / 2**k, k), k = floor(log2(max x)): exact, the largest in [1, 2);
+    DegenerateMetric if an entry has no exact image, its span past the float range."""
+    k = math.frexp(float(np.max(x)))[1] - 1
+    scaled = np.ldexp(x, -k)
+    if not np.array_equal(np.ldexp(scaled, k), x):
+        lo, hi = np.min(x[x > 0]), np.max(x)
+        raise DegenerateMetric(f"values span {lo:g} to {hi:g}, too far apart to scale exactly")
+    return scaled, k
+
+
 def distance_matrix(g, omega):
     """All-pairs shortest omega-path lengths (Floyd-Warshall).
 
     Rows and columns follow ``g.vertices``; unreachable pairs are math.inf.
     """
+    return _path_lengths(g, omega.vector(g))
+
+
+def _path_lengths(g, w):
+    # distance_matrix of the weights w in edge order; an inf weight is no edge
     a, b = g.ends.T
     d = np.full((g.n_vertices, g.n_vertices), math.inf)
     np.fill_diagonal(d, 0.0)
-    d[a, b] = d[b, a] = omega.vector(g)
+    d[a, b] = d[b, a] = w
     with np.errstate(over="ignore"):  # a path longer than the float range is inf
         for z in range(g.n_vertices):
             np.minimum(d, d[:, z, None] + d[None, z, :], out=d)
@@ -302,42 +319,29 @@ def surgery_scan(g, omega):
     """Edges that are no longer the strict unique shortest path.
 
     Returns ``(i, d_alt)`` in edge order for every edge e_i = (x, y) with
-    omega(e_i) >= d_alt - SURGERY_TOL, the detour d_alt read off one
-    distance matrix D of the whole graph as min over z ~ x, z != y of
-    omega(xz) + D(z, y).  A term whose D(z, y) runs back through e_i is at
-    least omega(e_i) + 2 min omega, so once min omega > SURGERY_TOL / 2 no
-    such term can flag e_i, and a returned d_alt is the exact shortest path
-    avoiding e_i.  In floating point that term still exceeds omega(e_i)
-    while max omega + min omega rounds above max omega.  Trees have no
-    detour: their scan is empty.  On any other graph a weight at most
-    SURGERY_TOL / 2, or weights too far apart for that sum, raise
-    DegenerateMetric.
+    omega(e_i) (1 + SURGERY_TOL) >= d_alt, d_alt found at unit scale and
+    scaled back exactly.  One distance matrix D finds the candidates, as
+    min over z ~ x, z != y of omega(xz) + D(z, y) is at most d_alt; each is
+    confirmed on the graph without e_i, so no detour runs back through it.
+    Trees have none.
     """
     if is_tree(g):
         return []
-    w = omega.vector(g)
-    k = int(np.argmin(w))
-    if w[k] <= SURGERY_TOL / 2:
-        raise DegenerateMetric(
-            f"omega({edge_id(*g.edges[k])}) = {w[k]:g} is at most SURGERY_TOL / 2,"
-            " below the resolution of the surgery scan"
-        )
-    # Python floats: a sum past the float range is inf, not a warning
-    lo, hi = float(w[k]), float(np.max(w))
-    if hi + lo == hi:
-        raise DegenerateMetric(
-            f"omega spans {lo:g} to {hi:g}, a ratio beyond the float resolution"
-            " of the surgery scan"
-        )
-    d, vid = distance_matrix(g, omega), g.vertex_index
+    w, k = _unit_scale(omega.vector(g))
+    d = distance_matrix(g, MetricAssignment(g.edges, w))
+    (a, b), n, edges = g.ends.T, g.n_vertices, np.arange(g.n_edges)
+    step = np.full((n, n), math.inf)
+    step[a, b] = step[b, a] = w
+    detours = step[a] + d[b]  # [i, z] = omega(a_i z) + D(z, b_i)
+    detours[edges, b] = math.inf  # z = b_i is the edge itself
+    reach = w * (1.0 + SURGERY_TOL)
     bad = []
-    with np.errstate(over="ignore"):  # a detour longer than the float range is inf
-        for i, (u, v) in enumerate(g.edges):
-            detours = [w[j] + d[vid[z], vid[v]] for z, j in g.adjacency[u] if z != v]
-            alt = min(detours, default=math.inf)
-            if w[i] >= alt - SURGERY_TOL:
-                bad.append((i, float(alt)))
-    return bad
+    for i in np.flatnonzero(reach >= detours.min(axis=1)).tolist():
+        alt = _path_lengths(g, np.where(edges == i, math.inf, w))[a[i], b[i]]
+        if reach[i] >= alt:
+            bad.append((i, alt))
+    with np.errstate(over="ignore"):  # a detour past the float range is inf
+        return [(i, float(np.ldexp(alt, k))) for i, alt in bad]
 
 
 def apply_surgery(g, omega, t=0.0):
@@ -372,7 +376,8 @@ def parse_graph_text(text):
 
     Header ``graph <nv> <ne>``, then ``vertex <id> <m1>`` lines, then
     ``edge <u> <v> <m2> [<omega0>]`` lines.  ``#`` starts a comment.  A
-    vertex id holds no ``,`` or ``"``, so edge ids fit unquoted CSV fields.
+    vertex id holds no ``,``, ``"`` or ``-``, so edge ids fit unquoted CSV
+    fields and no two edges share one.
     Returns (MeasuredGraph, MetricAssignment or None).  Edge order in the
     file fixes matrix indices.
     """
@@ -398,8 +403,8 @@ def parse_graph_text(text):
         if parts[0] == "vertex":
             if len(parts) != 3:
                 raise GraphParseError(f"bad vertex line: {line!r}")
-            if "," in parts[1] or '"' in parts[1]:
-                raise GraphParseError(f"vertex id holds ',' or '\"': {line!r}")
+            if any(c in parts[1] for c in ',"-'):
+                raise GraphParseError(f"vertex id holds ',', '\"' or '-': {line!r}")
             m1.append(_parse_finite(parts[2], "vertex measure", line))
             vertices.append(parts[1])
         elif parts[0] == "edge":

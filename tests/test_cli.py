@@ -114,37 +114,58 @@ class TestCurvatureCommand:
             tables.append((tmp_path / x / "curvature_cycle4.csv").read_text())
         assert tables[1] == tables[0]
 
-    @pytest.mark.parametrize(
-        "argv", [["curvature"], ["flow", "--kind", "lly", "--t-end", "0.1", "--dt", "0.05"]]
-    )
-    def test_weights_past_scan_resolution_are_numerical_error(self, tmp_path, capsys, argv):
-        # 1e16 + 1 rounds to 1e16, so a detour back through the bridge 2-3
-        # would match its weight; the scan refuses the spread instead of
-        # flagging the bridge, whose cut would disconnect the graph
-        graph = tmp_path / "bridge.graph"
-        graph.write_text(
-            "graph 4 4\nvertex 0 1\nvertex 1 1\nvertex 2 1\nvertex 3 1\n"
-            "edge 0 1 1 1\nedge 1 2 1 1\nedge 2 0 1 1\nedge 2 3 1 1e16\n"
-        )
-        out = tmp_path / "out"
-        assert main([*argv, "--input", str(graph), "--out", str(out)]) == EXIT_NUMERICAL
-        err = capsys.readouterr().err
-        assert "omega spans 1 to 1e+16, a ratio beyond the float resolution" in err
-        assert "2-3" not in err and "connected" not in err
-        assert os.listdir(out) == []
+    # the t=0 surgery and sample; past it the spread flow is stiff (kappa
+    # about -1e16), and a step lands on a degenerate metric
+    LLY_FLOW = ["flow", "--kind", "lly", "--t-end", "0"]
 
-    @pytest.mark.parametrize("argv", [["curvature"], ["flow", "--kind", "lly"]])
-    def test_weight_below_scan_resolution_is_numerical_error(self, tmp_path, capsys, argv):
-        # below SURGERY_TOL / 2 a scan could flag the bridge 2-3, and cutting
-        # it would disconnect the graph; the scan names the tiny weight instead
+    @staticmethod
+    def _run_bridge_graph(tmp_path, capsys, argv, weights):
+        # a triangle 0-1-2 with the bridge 2-3, which is never named or cut;
+        # returns the exit code, stderr and the output directory
         graph = tmp_path / "bridge.graph"
         graph.write_text(
             "graph 4 4\nvertex 0 1\nvertex 1 1\nvertex 2 1\nvertex 3 1\n"
-            "edge 2 3 1 1\nedge 0 1 1 1\nedge 1 2 1 1\nedge 2 0 1 1e-10\n"
+            + "".join(f"edge {u} {v} 1 {x}\n" for (u, v), x in weights.items())
         )
         out = tmp_path / "out"
-        assert main([*argv, "--input", str(graph), "--out", str(out)]) == EXIT_NUMERICAL
-        assert "omega(2-0) = 1e-10 is at most SURGERY_TOL / 2" in capsys.readouterr().err
+        code = main([*argv, "--input", str(graph), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert "2-3" not in err and "connected" not in err
+        return code, err, out
+
+    @pytest.mark.parametrize("argv", [["curvature"], LLY_FLOW])
+    def test_widely_spread_weights_keep_the_bridge(self, tmp_path, capsys, argv):
+        # 1e16 + 1 rounds to 1e16, so a detour back through the bridge would
+        # match its weight, but the scan confirms each edge without it, and
+        # it judges the triangle's edges against their own weights
+        weights = {(0, 1): 1, (1, 2): 1, (2, 0): 1, (2, 3): "1e16"}
+        code, _, out = self._run_bridge_graph(tmp_path, capsys, argv, weights)
+        assert code == EXIT_OK
+        _, rows = read_csv_rows(out / f"{argv[0]}_bridge.csv")
+        assert len(rows) == 4 and os.listdir(out) == [f"{argv[0]}_bridge.csv"]
+
+    @pytest.mark.parametrize("argv", [["curvature"], LLY_FLOW])
+    def test_tiny_weight_never_cuts_the_bridge(self, tmp_path, capsys, argv):
+        # a detour back through the bridge over the edge 2-0 is within
+        # SURGERY_TOL of its weight, and so are the detours of 0-1 and 1-2:
+        # the table names those two, and the flow cuts 0-1 at t=0
+        weights = {(2, 3): 1, (0, 1): 1, (1, 2): 1, (2, 0): "1e-10"}
+        code, err, out = self._run_bridge_graph(tmp_path, capsys, argv, weights)
+        if argv[0] == "curvature":
+            assert code == EXIT_NUMERICAL and os.listdir(out) == []
+            assert "metric is degenerate on edges ['0-1', '1-2']" in err
+        else:
+            assert code == EXIT_OK
+            _, rows = read_csv_rows(out / "flow_bridge_surgery.csv")
+            assert [(r["t"], r["edge_id"]) for r in rows] == [("0", "0-1")]
+
+    def test_weights_past_unit_scale_are_numerical_error(self, tmp_path, capsys):
+        # scaled to unit size, 1e-300 would underflow to 0
+        out = tmp_path / "out"
+        argv = ["curvature", "--named", "path:3", "--omega0", "1e-300,1,1e300"]
+        assert main([*argv, "--out", str(out)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "span 1e-300 to 1e+300, too far apart to scale exactly" in err
         assert os.listdir(out) == []
 
     def test_both_sources_rejected(self, tmp_path):
@@ -230,6 +251,19 @@ class TestSpectrumCommand:
         assert payload["lambda_max"] == -1.0
         assert payload["bounds"] == {"lower": 1.0, "upper": 2.0}
         assert all(v > 0 for v in payload["perron_vector"].values())
+
+    def test_vertex_ids_that_share_an_edge_id_are_input_error(self, tmp_path, capsys):
+        # the edges (a-b, c) and (a, b-c) would both be a-b-c, and the
+        # perron_vector keyed by edge id would drop one
+        f = tmp_path / "dash.graph"
+        f.write_text(
+            "graph 4 3\nvertex a-b 1\nvertex c 1\nvertex a 1\nvertex b-c 1\n"
+            "edge a-b c 1\nedge c a 1\nedge a b-c 1\n"
+        )
+        out = tmp_path / "out"
+        assert main(["spectrum", "--input", str(f), "--out", str(out)]) == EXIT_INPUT
+        assert "vertex id holds" in capsys.readouterr().err
+        assert os.listdir(out) == []
 
 
 class TestClassifyCommand:
@@ -387,6 +421,39 @@ class TestFlowCommand:
         assert f"floating-point range at t={bad_t}" in capsys.readouterr().err
         assert os.listdir(out) == []
         assert len(steps) == n_steps and set(steps) <= {0.1}
+
+    @pytest.mark.parametrize(
+        "argv, bad_t",
+        [
+            (["--kind", "lly", "--t-end", "1300", "--dt", "0.5"], "1209.5"),
+            (["--kind", "forman", "--t-end", "1250", "--dt", "0.5"], "1209.5"),
+            (["--kind", "lly", "--omega0", "1e-310,1,1"], "0"),
+            (["--kind", "forman", "--omega0", "1e-310,1,1"], "0"),
+        ],
+        ids=["lly", "forman", "lly_at_start", "forman_at_start"],
+    )
+    def test_weight_below_normal_range_is_numerical_error(
+        self, tmp_path, capsys, argv, bad_t
+    ):
+        # below the smallest normal float a weight has lost precision; the
+        # path's weights, decaying like exp(-0.586 t), pass it at t=1209.5
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning on stderr either
+            code = main(["flow", "--named", "path:3", *argv, "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert f"floating-point range at t={bad_t}\n" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+    def test_lly_flow_of_regular_triangle_is_scale_free(self, tmp_path):
+        # the weights exp(-3t) fall below SURGERY_TOL near t=6.9, and the
+        # triangle stays regular and strict at every scale
+        argv = ["flow", "--named", "cycle:3", "--kind", "lly", "--t-end", "10", "--dt", "0.1"]
+        assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+        _, rows = read_csv_rows(tmp_path / "flow_cycle3.csv")
+        assert len(rows) == 3 * 101 and float(rows[-1]["omega"]) < 1e-9
+        assert {r["kappa"] for r in rows} == {"3"}
+        assert os.listdir(tmp_path) == ["flow_cycle3.csv"]
 
     def test_bad_dt(self, tmp_path):
         code = main(

@@ -23,7 +23,7 @@ from ricciflow import (
     write_trajectory_csv,
 )
 from ricciflow.curvature import forman_kappa
-from ricciflow.flow import CSV_BLOCK_SAMPLES, atomic_write
+from ricciflow.flow import CSV_BLOCK_SAMPLES, SAMPLE_EVERY_THRESHOLD, atomic_write
 from ricciflow.spectral import build_flow_matrix
 from conftest import (
     curvature_residual,
@@ -247,6 +247,17 @@ class TestLLYIntegration:
         traj = lly_flow_integrate(g, MetricAssignment.uniform(g), 0.05, 1e-2)
         assert len(traj.times) == 6
         assert len(scans) == 5
+
+    def test_large_graph_keeps_every_tenth_step(self):
+        # past SAMPLE_EVERY_THRESHOLD edges a sample is kept every 10th step,
+        # and at the endpoint; a tree's kappa is the cheap Forman product
+        g = build_named_graph("path", SAMPLE_EVERY_THRESHOLD + 1)
+        traj = lly_flow_integrate(g, MetricAssignment.uniform(g), 0.25, 0.01)
+        grid = [0.0]  # the integrator's step times, the last step clipped
+        while grid[-1] < 0.25 - 1e-12:
+            grid.append(grid[-1] + min(0.01, 0.25 - grid[-1]))
+        assert len(grid) == 26
+        assert traj.times == [grid[0], grid[10], grid[20], grid[25]]
 
     def test_long_time_tree_normalized_limit(self):
         g = build_named_graph("star", 3)

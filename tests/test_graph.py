@@ -4,11 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ricciflow import (
-    DegenerateMetric,
     GraphError,
     GraphParseError,
     MeasuredGraph,
@@ -178,8 +177,7 @@ class TestMetricAssignment:
                 MetricAssignment.from_vector(g, [1.0, bad])
 
     def test_infinite_pendant_weight(self):
-        # the surgery scan would flag an infinite bridge
-        # (inf >= inf - SURGERY_TOL), and a bridge cannot be cut
+        # a bridge with an infinite weight has no unit scale
         with pytest.raises(GraphError, match=r"omega\(2, 3\) must be positive and finite"):
             MetricAssignment.from_vector(TRIANGLE_WITH_PENDANT, [1.0, 1.0, 1.0, math.inf])
 
@@ -251,12 +249,20 @@ def scanned_edges(g, w):
     return [g.edges[i] for i, _ in surgery_scan(g, w)]
 
 
+def detour_margins(g, w):
+    """(shortest path avoiding e) - w(e) for every edge e, by enumeration."""
+    return [
+        brute_force_distance(g, w, *e, excluded_edge=e) - we
+        for e, we in zip(g.edges, w.values.tolist())
+    ]
+
+
 def scan_oracle(g, w):
-    """Edges e with w(e) >= (shortest path avoiding e) - SURGERY_TOL, by enumeration."""
+    """Edges e with w(e) (1 + SURGERY_TOL) >= (shortest path avoiding e), by enumeration."""
     return [
         e
         for e, we in zip(g.edges, w.values)
-        if we >= brute_force_distance(g, w, *e, excluded_edge=e) - SURGERY_TOL
+        if we * (1.0 + SURGERY_TOL) >= brute_force_distance(g, w, *e, excluded_edge=e)
     ]
 
 
@@ -284,19 +290,20 @@ def weighted_graphs(draw):
 
 @st.composite
 def tiny_weighted_graphs(draw):
-    """``weighted_graphs`` with up to two weights redrawn from [1e-13, SURGERY_TOL)."""
+    """``weighted_graphs`` with up to two weights redrawn from [1e-300, SURGERY_TOL)."""
     g, w = draw(weighted_graphs())
     values = w.values.copy()
     for i in draw(st.lists(st.integers(0, g.n_edges - 1), max_size=2)):
-        values[i] = draw(st.floats(1e-13, SURGERY_TOL, exclude_max=True))
+        values[i] = draw(st.floats(1e-300, SURGERY_TOL, exclude_max=True))
     return g, MetricAssignment.from_vector(g, values)
 
 
 @st.composite
 def wide_weighted_graphs(draw):
-    """``weighted_graphs`` with weights spread over 2**0 to 2**61."""
+    """``weighted_graphs`` with weights spread over 2**0 to 2**61, or to 2**1001."""
     g, _ = draw(weighted_graphs())
-    w = [math.ldexp(draw(st.floats(1.0, 2.0)), draw(st.integers(0, 60))) for _ in g.edges]
+    exponents = st.integers(0, 60) | st.integers(0, 1000)
+    w = [math.ldexp(draw(st.floats(1.0, 2.0)), draw(exponents)) for _ in g.edges]
     return g, MetricAssignment.from_vector(g, w)
 
 
@@ -310,43 +317,54 @@ class TestSurgery:
     @settings(max_examples=80, deadline=None)
     @given(tiny_weighted_graphs())
     def test_scan_detours_match_exact_paths(self, case):
-        # each d_alt the scan reports is the shortest path avoiding its edge;
-        # below its resolution the scan refuses the metric, and above it, even
-        # with weights near SURGERY_TOL, it flags exactly the exact detours' edges
+        # even with weights far below SURGERY_TOL the scan flags exactly the
+        # exact detours' edges, and each d_alt it reports is the shortest
+        # path avoiding its edge
         g, w = case
-        if not is_tree(g) and w.values.min() <= SURGERY_TOL / 2:
-            with pytest.raises(DegenerateMetric, match="below the resolution"):
-                surgery_scan(g, w)
-            return
         assert scanned_edges(g, w) == scan_oracle(g, w)
         for i, alt in surgery_scan(g, w):
             e = g.edges[i]
-            exact = brute_force_distance(g, w, *e, excluded_edge=e)
-            assert alt == pytest.approx(exact, rel=1e-12, abs=1e-12)
+            assert alt == pytest.approx(brute_force_distance(g, w, *e, excluded_edge=e), rel=1e-12)
 
     @settings(max_examples=80, deadline=None)
     @given(wide_weighted_graphs())
     def test_scan_never_flags_a_bridge(self, case):
         # a detour back through an edge can round to the edge's own weight
-        # once max omega + min omega rounds to max omega; the scan refuses
-        # such a spread instead of flagging the edge, which may be a bridge
+        # once max omega + min omega rounds to max omega; the scan confirms
+        # each edge on the graph without it, so at every spread no bridge
+        # is flagged
         g, w = case
-        lo, hi = float(w.values.min()), float(w.values.max())
-        if not is_tree(g) and hi + lo == hi:
-            with pytest.raises(DegenerateMetric, match="beyond the float resolution"):
-                surgery_scan(g, w)
-            return
         for i, _ in surgery_scan(g, w):
             g.without_edge(i)  # GraphError if the edge is a bridge
 
-    @pytest.mark.parametrize("bridge, refused", [(1e15, False), (1e16, True)])
-    def test_huge_bridge_weight(self, bridge, refused):
+    @pytest.mark.parametrize(
+        "bridge, absorbs_unit", [(1e15, False), (1e16, True), (1e300, True)]
+    )
+    def test_huge_bridge_weight(self, bridge, absorbs_unit):
+        # from 1e16 on, the detour bridge + 1 + 1 back through the triangle
+        # rounds to the bridge's own weight, yet the bridge has no detour,
+        # and the triangle's edges are judged against their own weights
+        assert (bridge + 1.0 == bridge) == absorbs_unit
         w = MetricAssignment.from_vector(TRIANGLE_WITH_PENDANT, [1.0, 1.0, 1.0, bridge])
-        if not refused:
-            assert surgery_scan(TRIANGLE_WITH_PENDANT, w) == []
-        else:
-            with pytest.raises(DegenerateMetric, match=r"omega spans 1 to 1e\+16"):
-                surgery_scan(TRIANGLE_WITH_PENDANT, w)
+        assert surgery_scan(TRIANGLE_WITH_PENDANT, w) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(weighted_graphs(), st.sampled_from([2.0**-900, 1e-200, 1.0, 1e200]))
+    def test_scan_is_scale_free(self, case, scale):
+        # strictness is 1-homogeneous: at every scale the scan flags the same
+        # edges, with d_alt scaled along, exactly for a power of two; margins
+        # within rounding of the tolerance, SURGERY_TOL times the edge's
+        # weight, may flip between scales and are skipped
+        g, w = case
+        margins = zip(detour_margins(g, w), (SURGERY_TOL * w.values).tolist())
+        assume(not any(tol / 2 < m < 2 * tol for m, tol in margins))
+        base = surgery_scan(g, w)
+        scaled = surgery_scan(g, MetricAssignment.from_vector(g, w.values * scale))
+        assert [i for i, _ in scaled] == [i for i, _ in base]
+        for (_, alt), (_, alt_scaled) in zip(base, scaled):
+            assert alt_scaled == pytest.approx(alt * scale, rel=1e-12)
+            if scale == 2.0**-900:
+                assert alt_scaled == math.ldexp(alt, -900)
 
     @pytest.mark.parametrize(
         "n, weights, n_bad",
@@ -355,7 +373,9 @@ class TestSurgery:
             (6, [1.0] * 6, 0),
             (3, [1.0, 1.0, 2.0], 1),
             (4, [1.0, 1.0, 1.0, 3.0 - 0.5 * SURGERY_TOL], 1),
-            (4, [1.0, 1.0, 1.0, 3.0 - 2.0 * SURGERY_TOL], 0),
+            # the tolerance is SURGERY_TOL times the edge's weight, about
+            # 3 SURGERY_TOL here: a margin of 2 SURGERY_TOL is flagged, 4 is not
+            (4, [1.0, 1.0, 1.0, 3.0 - 4.0 * SURGERY_TOL], 0),
         ],
     )
     def test_scan_matches_exact_detours_at_ties(self, n, weights, n_bad):
