@@ -8,10 +8,13 @@ in the order of ``g.edges``; ``forman_edge`` and ``lly_edge`` return one.
 Lin-Lu-Yau curvature comes in two independent routes: an exact linear
 program over Lipschitz potentials (``lly_edge``) and a finite-laziness
 transport estimate (``lly_limit_estimate``) built from Wasserstein
-distances between lazy random-walk kernels.  A kernel is a pair of arrays,
-vertex positions and masses, and the estimate reads d(x, y) and every
-transport cost from one distance matrix.  The two routes agree to solver
-precision for sufficiently lazy kernels, which the tests exploit.
+distances between lazy random-walk kernels.  The curvature of an edge
+(x, y) depends only on the potential over B1(x) u B1(y), so its LP has one
+variable per vertex there and one row per pair of B1(x) x B1(y), with the
+bounds read from one distance matrix per metric.  A kernel is a pair of
+arrays, vertex positions and masses, and the estimate reads d(x, y) and
+every transport cost from one distance matrix.  The two routes agree to
+solver precision for sufficiently lazy kernels, which the tests exploit.
 
 The curvatures are scale-invariant but HiGHS's tolerances are absolute, so
 LPs and Forman products run on omega scaled exactly to unit size by a power
@@ -34,6 +37,7 @@ import numpy as np
 from .graph import (
     DegenerateMetric,
     MetricAssignment,
+    _path_lengths,
     _unit_scale,
     deg_measure,
     distance_matrix,
@@ -43,6 +47,8 @@ from .graph import (
 from .spectral import build_flow_matrix
 
 KERNEL_MASS_TOL = 1e-12
+# every LP here is small enough that HiGHS presolve costs more than it removes
+HIGHS_OPTIONS = {"presolve": False}
 
 
 def __getattr__(name):
@@ -125,48 +131,54 @@ def wasserstein(d, mu, nu):
     a_eq = np.vstack([np.kron(np.eye(ns), np.ones(nd)), np.tile(np.eye(nd), ns)])
     b_eq = np.concatenate([a, b])
 
-    res = _module.linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    res = _module.linprog(
+        c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs", options=HIGHS_OPTIONS
+    )
     if not res.success:
         raise RuntimeError(f"transport LP failed: {res.message}")
     return math.ldexp(res.fun, k)
 
 
-def _lipschitz_rows(g, w):
-    # (A_ub, b_ub) of |f(a) - f(b)| <= w(ab) for every edge ab, as the rows
-    # f(a) - f(b) <= w and f(b) - f(a) <= w interleaved in edge order
-    ne, nv = g.n_edges, g.n_vertices
-    a, b = g.ends.T
-    rows = np.arange(ne)
-    a_ub = np.zeros((ne, 2, nv))
-    a_ub[rows, 0, a] = a_ub[rows, 1, b] = 1.0
-    a_ub[rows, 0, b] = a_ub[rows, 1, a] = -1.0
-    return a_ub.reshape(2 * ne, nv), np.repeat(w, 2)
-
-
-def _lly_lp(g, a_ub, b_ub, x, y, d):
+def _lly_lp(g, dist, x, y, d):
     # Curvature of the strict edge (x, y), whose distance d is omega(x, y):
-    # minimizes (Lap f(x) - Lap f(y)) / d over potentials f with
-    # f(y) - f(x) = d and the metric's Lipschitz rows a_ub f <= b_ub, after
-    # gauge-fixing f(x) = 0.  Edge-wise Lipschitz bounds are equivalent to
-    # 1-Lipschitz for the path metric, which keeps the LP small.
+    # minimizes (Lap f(x) - Lap f(y)) / d over potentials f on
+    # S = B1(x) u B1(y) with f(x) = 0, f(y) = d and the rows below, read
+    # from the unit-scale distance matrix D.  Exact: at every laziness this
+    # LP lies between the 1-Lipschitz dual on S and the two-potential
+    # Kantorovich dual, and both are W1(mu_x, mu_y).
     vid = g.vertex_index
-    nv = len(vid)
+    ball_x = [vid[x], *(vid[z] for z, _ in g.adjacency[x])]
+    ball_y = [vid[y], *(vid[z] for z, _ in g.adjacency[y])]
+    s = np.unique(ball_x + ball_y)
+    pos_x, pos_y = np.searchsorted(s, ball_x), np.searchsorted(s, ball_y)
 
     # objective: (Lap f(x) - Lap f(y)) / d, linear in f
-    c = np.zeros(nv)
-    for base, sign in ((x, 1.0), (y, -1.0)):
+    c = np.zeros(len(s))
+    for pos, base, sign in ((pos_x, x, 1.0), (pos_y, y, -1.0)):
         # Python floats, so an overflow is an inf and not a numpy warning
         inv_m1 = sign / (float(g.m1[vid[base]]) * d)
-        for z, j in g.adjacency[base]:
+        for p, (_, j) in zip(pos[1:].tolist(), g.adjacency[base]):
             m2v = float(g.m2[j])
-            c[vid[z]] += m2v * inv_m1
-            c[vid[base]] -= m2v * inv_m1
+            c[p] += m2v * inv_m1
+            c[pos[0]] -= m2v * inv_m1
 
-    bounds = [(None, None)] * nv
-    bounds[vid[x]] = (0.0, 0.0)  # gauge
-    bounds[vid[y]] = (d, d)  # gradient normalization
+    # one row f(b) - f(a) <= D(a, b) per pair a in B1(x), b in B1(y), a != b
+    a, b = np.repeat(pos_x, len(pos_y)), np.tile(pos_y, len(pos_x))
+    keep = a != b
+    a, b = a[keep], b[keep]
+    a_ub = np.zeros((len(a), len(s)))
+    rows = np.arange(len(a))
+    a_ub[rows, b] = 1.0
+    a_ub[rows, a] = -1.0
+    b_ub = dist[s[a], s[b]]
 
-    res = _module.linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    bounds = np.full((len(s), 2), [-np.inf, np.inf])
+    bounds[pos_x[0]] = 0.0  # gauge
+    bounds[pos_y[0]] = d  # gradient normalization
+
+    res = _module.linprog(
+        c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs", options=HIGHS_OPTIONS
+    )
     if not res.success:
         raise RuntimeError(
             f"Lin-Lu-Yau LP of edge {edge_id(x, y)} failed: {res.message}"
@@ -186,23 +198,24 @@ def lly_edge(g, omega, e):
         name = edge_id(*g.edges[i])
         raise DegenerateMetric(f"edge {name} is not the strict shortest path")
     w, _ = _unit_scale(omega.vector(g))
-    return _lly_lp(g, *_lipschitz_rows(g, w), x, y, float(w[i]))
+    return _lly_lp(g, _path_lengths(g, w), x, y, float(w[i]))
 
 
 def lly_vector(g, omega):
     """Lin-Lu-Yau curvature of every edge, in edge order (one LP per edge).
 
     One ``surgery_scan`` checks every edge first; DegenerateMetric names
-    each edge that is not strict.  The LPs share one set of Lipschitz
-    constraints and differ only in objective and fixed bounds.
+    each edge that is not strict.  Each edge's LP spans only the balls
+    B1(x) u B1(y) of its ends, and all of them read their bounds from one
+    distance matrix of omega scaled to unit size.
     """
     bad = [edge_id(*g.edges[i]) for i, _ in surgery_scan(g, omega)]
     if bad:
         raise DegenerateMetric(f"metric is degenerate on edges {bad}")
     w, _ = _unit_scale(omega.vector(g))
-    rows = _lipschitz_rows(g, w)
+    dist = _path_lengths(g, w)
     return np.array(
-        [_lly_lp(g, *rows, u, v, d) for (u, v), d in zip(g.edges, w.tolist())]
+        [_lly_lp(g, dist, u, v, d) for (u, v), d in zip(g.edges, w.tolist())]
     )
 
 

@@ -1,6 +1,7 @@
 """Shared helpers: deterministic random graph generators, trajectory samples,
 and reference implementations that the package is checked against."""
 
+import inspect
 import math
 
 import numpy as np
@@ -19,15 +20,17 @@ def pytest_terminal_summary(terminalreporter):
 
 
 def count_linprog(monkeypatch):
-    """The list of arguments of every ``linprog`` call made from now on."""
+    """The arguments of every ``linprog`` call made from now on, one dict per
+    call from parameter name to value, passed by position or by keyword."""
     import scipy.optimize
 
     import ricciflow.curvature
 
     calls = []
+    signature = inspect.signature(scipy.optimize.linprog)
 
     def counting(*args, **kwargs):
-        calls.append(args)
+        calls.append(signature.bind(*args, **kwargs).arguments)
         return scipy.optimize.linprog(*args, **kwargs)
 
     monkeypatch.setattr(ricciflow.curvature, "linprog", counting)
@@ -134,6 +137,58 @@ def curvature_residual(traj):
     dwdt = (w[2:] - w[:-2]) / (times[2:] - times[:-2])[:, None]
     resid = np.abs(dwdt + kap[1:-1] * w[1:-1])
     return float(np.max(resid))
+
+
+def _lipschitz_rows(g, w):
+    # (A_ub, b_ub) of |f(a) - f(b)| <= w(ab) for every edge ab, as the rows
+    # f(a) - f(b) <= w and f(b) - f(a) <= w interleaved in edge order
+    ne, nv = g.n_edges, g.n_vertices
+    a, b = g.ends.T
+    rows = np.arange(ne)
+    a_ub = np.zeros((ne, 2, nv))
+    a_ub[rows, 0, a] = a_ub[rows, 1, b] = 1.0
+    a_ub[rows, 0, b] = a_ub[rows, 1, a] = -1.0
+    return a_ub.reshape(2 * ne, nv), np.repeat(w, 2)
+
+
+def _whole_graph_lly_lp(g, a_ub, b_ub, x, y, d):
+    # minimizes (Lap f(x) - Lap f(y)) / d over potentials f on every vertex
+    # with f(x) = 0, f(y) = d and the edge-wise Lipschitz rows a_ub f <= b_ub,
+    # which are equivalent to 1-Lipschitz for the path metric
+    from scipy.optimize import linprog
+
+    vid = g.vertex_index
+    nv = len(vid)
+    c = np.zeros(nv)
+    for base, sign in ((x, 1.0), (y, -1.0)):
+        inv_m1 = sign / (float(g.m1[vid[base]]) * d)
+        for z, j in g.adjacency[base]:
+            m2v = float(g.m2[j])
+            c[vid[z]] += m2v * inv_m1
+            c[vid[base]] -= m2v * inv_m1
+
+    bounds = [(None, None)] * nv
+    bounds[vid[x]] = (0.0, 0.0)
+    bounds[vid[y]] = (d, d)
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    assert res.success, res.message
+    return float(res.fun)
+
+
+def reference_lly_vector(g, omega):
+    """Lin-Lu-Yau curvature of every edge, each from an LP over the whole graph.
+
+    One variable per vertex and two Lipschitz rows per edge, on omega scaled
+    to unit size: the oracle for the LPs of ``ricciflow.curvature.lly_vector``,
+    which are local to B1(x) u B1(y).  Every edge must be strict.
+    """
+    from ricciflow.graph import _unit_scale
+
+    w, _ = _unit_scale(omega.vector(g))
+    rows = _lipschitz_rows(g, w)
+    return np.array(
+        [_whole_graph_lly_lp(g, *rows, u, v, d) for (u, v), d in zip(g.edges, w.tolist())]
+    )
 
 
 def reference_jacobi_sweeps(av, tol, max_sweeps):

@@ -23,7 +23,13 @@ from ricciflow import (
     lly_vector,
     wasserstein,
 )
-from conftest import random_connected_graph, random_metric, random_tree
+from conftest import (
+    count_linprog,
+    random_connected_graph,
+    random_metric,
+    random_tree,
+    reference_lly_vector,
+)
 
 
 class TestForman:
@@ -222,6 +228,18 @@ class TestLLY:
         for i, (u, v) in enumerate(g.edges):
             assert values[i] == lly_edge(g, w, (u, v))
 
+    def test_lps_are_local_to_the_edge(self, monkeypatch):
+        # one LP per edge, over B1(x) u B1(y) whatever the size of the graph
+        g = build_named_graph("cycle", 40)
+        calls = count_linprog(monkeypatch)
+        lly_vector(g, MetricAssignment.uniform(g))
+        assert len(calls) == g.n_edges
+        for (x, y), call in zip(g.edges, calls):
+            ball = {x, y} | {z for z, _ in g.adjacency[x] + g.adjacency[y]}
+            rows, cols = call["A_ub"].shape
+            assert rows <= (g.degree(x) + 1) * (g.degree(y) + 1)
+            assert cols == len(call["c"]) == len(ball)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_scaling_invariance(self, seed):
         rng = np.random.default_rng(40 + seed)
@@ -272,30 +290,66 @@ class TestLLYLimitOracle:
             assert abs(kap - lly_limit_estimate(g, w, e)) < 1e-6
 
 
-@st.composite
-def strict_measured_metrics(draw):
-    """Random connected graph on at most 7 vertices with a strict metric.
+def draw_measured_metric(draw, n, edges):
+    """Measures and a strict metric for the graph on range(n) with these edges.
 
-    A tree plus random chords, under uniform measures or degree-normalized
-    ones (random m2, m1(x) the sum of incident m2, so Deg = 1).  Weights lie
-    in [1, 1.9], so every detour, two edges or more, is longer than its edge.
+    Uniform measures or degree-normalized ones (random m2, m1(x) the sum of
+    incident m2, so Deg = 1).  Weights are all 1, tied in {1, 1.5}, or drawn
+    from [1, 1.9], so every detour, two edges or more, is longer than its edge.
     """
-    n = draw(st.integers(2, 7))
-    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
-    chords = [(i, j) for j in range(n) for i in range(j) if (i, j) not in edges]
-    if chords:
-        edges += draw(st.lists(st.sampled_from(chords), unique=True, max_size=8))
+    ne = len(edges)
     if draw(st.booleans()):
-        m1, m2 = [1.0] * n, [1.0] * len(edges)
+        m1, m2 = [1.0] * n, [1.0] * ne
     else:
-        m2 = draw(st.lists(st.floats(0.5, 2.0), min_size=len(edges), max_size=len(edges)))
+        m2 = draw(st.lists(st.floats(0.5, 2.0), min_size=ne, max_size=ne))
         m1 = [0.0] * n
         for (u, v), a in zip(edges, m2):
             m1[u] += a
             m1[v] += a
     g = MeasuredGraph(tuple(range(n)), tuple(edges), m1, m2)
-    w = draw(st.lists(st.floats(1.0, 1.9), min_size=len(edges), max_size=len(edges)))
+    w = draw(
+        st.one_of(
+            st.just([1.0] * ne),
+            st.lists(st.sampled_from([1.0, 1.5]), min_size=ne, max_size=ne),
+            st.lists(st.floats(1.0, 1.9), min_size=ne, max_size=ne),
+        )
+    )
     return g, MetricAssignment.from_vector(g, w)
+
+
+def draw_chorded_tree(draw, n, max_chords):
+    """Edges of a random tree on range(n) plus at most max_chords random chords."""
+    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    chords = [(i, j) for j in range(n) for i in range(j) if (i, j) not in edges]
+    if chords:
+        edges += draw(st.lists(st.sampled_from(chords), unique=True, max_size=max_chords))
+    return edges
+
+
+@st.composite
+def strict_measured_metrics(draw):
+    """Random connected graph on at most 7 vertices with a strict metric:
+    a tree plus random chords, measured by ``draw_measured_metric``."""
+    n = draw(st.integers(2, 7))
+    return draw_measured_metric(draw, n, draw_chorded_tree(draw, n, 8))
+
+
+@st.composite
+def wheels_with_bridged_tails(draw):
+    """A wheel, optionally joined by a bridge to a tree plus random chords.
+
+    The wheel's hub 0 neighbours every rim vertex 1..k, so the ends of each
+    spoke and rim edge share neighbours; the bridge joins a random vertex of
+    the wheel to one of the tail.  Measured by ``draw_measured_metric``.
+    """
+    k = draw(st.integers(3, 8))
+    edges = [(0, i) for i in range(1, k + 1)] + [(i, i % k + 1) for i in range(1, k + 1)]
+    m = draw(st.integers(0, 5))
+    if m:
+        tail = draw_chorded_tree(draw, m, 4)
+        edges.append((draw(st.integers(0, k)), k + 1 + draw(st.integers(0, m - 1))))
+        edges += [(u + k + 1, v + k + 1) for u, v in tail]
+    return draw_measured_metric(draw, k + 1 + m, edges)
 
 
 class TestCurvatureProperties:
@@ -316,3 +370,9 @@ class TestCurvatureProperties:
         for eps in (default_epsilon(g), default_epsilon(g) / 2):
             estimate = [lly_limit_estimate(g, w, e, eps) for e in g.edges]
             assert np.allclose(estimate, lly, rtol=0, atol=1e-6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(wheels_with_bridged_tails(), strict_measured_metrics()))
+    def test_local_lps_agree_with_whole_graph_lp(self, case):
+        g, w = case
+        assert np.allclose(lly_vector(g, w), reference_lly_vector(g, w), rtol=0, atol=1e-10)
