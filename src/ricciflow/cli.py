@@ -250,7 +250,7 @@ def cmd_flow(args):
         raise InputError(f"--t-end / --dt must be at most {MAX_FLOW_STEPS} steps")
     if args.kind == "forman":
         steps = max(1, int(round(t_end / dt)))
-        times = np.arange(steps + 1) * t_end / steps
+        times = np.arange(steps + 1) * t_end / steps if t_end > 0 else [0.0]
         traj = forman_flow_exact(g, omega0, times)
     else:
         traj = lly_flow_integrate(g, omega0, t_end, dt, surgery=args.surgery)

@@ -37,12 +37,11 @@ import numpy as np
 from .graph import (
     DegenerateMetric,
     MetricAssignment,
-    _path_lengths,
+    _unit_detours,
     _unit_scale,
     deg_measure,
     distance_matrix,
     edge_id,
-    surgery_scan,
 )
 from .spectral import build_flow_matrix
 
@@ -194,26 +193,25 @@ def lly_edge(g, omega, e):
     """
     x, y = e
     i = g.position(x, y)
-    if any(j == i for j, _ in surgery_scan(g, omega)):
+    w, _, dist, bad = _unit_detours(g, omega)
+    if any(j == i for j, _ in bad):
         name = edge_id(*g.edges[i])
         raise DegenerateMetric(f"edge {name} is not the strict shortest path")
-    w, _ = _unit_scale(omega.vector(g))
-    return _lly_lp(g, _path_lengths(g, w), x, y, float(w[i]))
+    return _lly_lp(g, dist, x, y, float(w[i]))
 
 
 def lly_vector(g, omega):
     """Lin-Lu-Yau curvature of every edge, in edge order (one LP per edge).
 
-    One ``surgery_scan`` checks every edge first; DegenerateMetric names
-    each edge that is not strict.  Each edge's LP spans only the balls
-    B1(x) u B1(y) of its ends, and all of them read their bounds from one
-    distance matrix of omega scaled to unit size.
+    Every edge is first tested for strictness as ``surgery_scan`` tests
+    it; DegenerateMetric names each edge that is not.  Each edge's LP spans
+    only the balls B1(x) u B1(y) of its ends, and the test and the LPs read
+    one distance matrix of omega scaled to unit size.
     """
-    bad = [edge_id(*g.edges[i]) for i, _ in surgery_scan(g, omega)]
+    w, _, dist, bad = _unit_detours(g, omega)
     if bad:
-        raise DegenerateMetric(f"metric is degenerate on edges {bad}")
-    w, _ = _unit_scale(omega.vector(g))
-    dist = _path_lengths(g, w)
+        names = [edge_id(*g.edges[i]) for i, _ in bad]
+        raise DegenerateMetric(f"metric is degenerate on edges {names}")
     return np.array(
         [_lly_lp(g, dist, u, v, d) for (u, v), d in zip(g.edges, w.tolist())]
     )

@@ -1,7 +1,8 @@
 """Curvature flow trajectories.
 
 The Forman flow is linear, so it is evolved exactly through the spectral
-solution omega(t, e_l) = sum_i c_i(e_l) exp(lambda_i t).  The Lin-Lu-Yau
+solution omega(t, e_l) = sum_i c_i(e_l) exp(lambda_i t), evaluated once as
+a shape that never grows times exp(lambda_max t).  The Lin-Lu-Yau
 flow on general graphs is nonlinear (the curvature is an LP value) and is
 integrated with classical RK4 plus surgery; on trees the two curvatures
 coincide, which both speeds up the integrator and gives the exact solution
@@ -77,24 +78,38 @@ def _row_totals(w):
     return np.cumsum(w, axis=1)[:, -1]
 
 
+def _forman_shape(g, omega0, times):
+    """(F, shape, lambda_max) with omega(t_s) = shape[s] exp(lambda_max t_s).
+
+    The shape never grows with t, and its row at t = 0 is omega0 itself,
+    not its eigenbasis rebuild.
+    """
+    fm = build_flow_matrix(g)
+    sd = eigendecompose(fm)
+    w0 = omega0.vector(g)
+    growth = np.exp(np.outer(times, sd.eigenvalues - sd.lambda_max))
+    shape = growth @ flow_coefficients(sd, fm, w0)
+    shape[times == 0] = w0
+    return fm.F, shape, sd.lambda_max
+
+
 def forman_flow_exact(g, omega0, times):
     """Evaluate the exact spectral Forman-flow solution at the given times.
 
-    The linear flow is globally defined and positivity-preserving, so no
-    surgery is applied.  ConvergenceFailure if a weight leaves [TINY, inf),
-    or a curvature is not finite, at some time.
+    omega(t) is the scale-free shape times exp(lambda_max t), so the sample
+    at t = 0 is omega0 exactly; kappa is read from omega.  The linear flow
+    is globally defined and positivity-preserving, so no surgery is
+    applied.  ConvergenceFailure if a weight leaves [TINY, inf), or a
+    curvature is not finite, at some time.
     """
     tarr = np.asarray(times, dtype=float)
     # negated comparisons also reject nan times
     if not (np.all(tarr >= 0) and np.all(np.diff(tarr) > 0)):
         raise ValueError("times must be nonnegative and strictly increasing")
-    fm = build_flow_matrix(g)
-    sd = eigendecompose(fm)
-    coeff = flow_coefficients(sd, fm, omega0.vector(g))
+    f, shape, lambda_max = _forman_shape(g, omega0, tarr)
     with np.errstate(all="ignore"):  # a nonfinite result is raised just below
-        # omega[s, l] = sum_i coeff[i, l] exp(lambda_i t_s)
-        w = np.exp(np.outer(tarr, sd.eigenvalues)) @ coeff
-        kappa = forman_kappa(fm.F, w)
+        w = shape * np.exp(lambda_max * tarr)[:, None]
+        kappa = forman_kappa(f, w)
     ok = ((w >= TINY) & (w < np.inf) & np.isfinite(kappa)).all(axis=1)
     if not ok.all():
         raise ConvergenceFailure(
@@ -104,17 +119,14 @@ def forman_flow_exact(g, omega0, times):
 
 
 def normalized_flow_state(g, omega0, t):
-    """Normalized metric at time t computed in a scale-free way.
+    """Normalized metric at time t: the Forman flow's shape over its sum.
 
-    Factors out exp(lambda_max t) before exponentiating, so arbitrarily
-    large horizons are safe even for divergent flows.
+    The shape is the same evaluation ``forman_flow_exact`` scales by
+    exp(lambda_max t); it never grows, so arbitrarily large horizons are
+    safe even for divergent flows, and at t = 0 it is omega0.
     """
-    fm = build_flow_matrix(g)
-    sd = eigendecompose(fm)
-    coeff = flow_coefficients(sd, fm, omega0.vector(g))
-    shape = np.exp((sd.eigenvalues - sd.lambda_max) * t) @ coeff
-    shape = shape / np.sum(shape)
-    return MetricAssignment.from_vector(g, shape)
+    _, (shape,), _ = _forman_shape(g, omega0, np.array([float(t)]))
+    return MetricAssignment.from_vector(g, shape / np.sum(shape))
 
 
 def _lly_kappa_fn(g):

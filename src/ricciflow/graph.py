@@ -8,9 +8,10 @@ from either end and ``edge_id`` is its one text form.  Distances are
 shortest omega-weighted path lengths, all read from one matrix
 (``distance_matrix``).  An edge e = (x, y) is strict while
 omega(e) (1 + SURGERY_TOL) < d_alt, with d_alt the shortest x-y path
-avoiding e: like curvature, the rule is scale-free.  ``surgery_scan``, the
-one test of it, reads omega at unit scale, divided exactly by the power of
-two ``_unit_scale`` picks for the curvature LPs too, and returns each
+avoiding e: like curvature, the rule is scale-free.  ``_unit_detours``,
+the one test of it, reads omega at unit scale, divided exactly by the power
+of two ``_unit_scale`` picks, and returns its distance matrix at that
+scale, which the curvature LPs read too.  ``surgery_scan`` returns each
 failing edge's index with its exact d_alt; a bridge has no detour, so
 surgery never disconnects a graph.
 """
@@ -319,14 +320,25 @@ def surgery_scan(g, omega):
     """Edges that are no longer the strict unique shortest path.
 
     Returns ``(i, d_alt)`` in edge order for every edge e_i = (x, y) with
-    omega(e_i) (1 + SURGERY_TOL) >= d_alt, d_alt found at unit scale and
-    scaled back exactly.  One distance matrix D finds the candidates, as
-    min over z ~ x, z != y of omega(xz) + D(z, y) is at most d_alt; each is
-    confirmed on the graph without e_i, so no detour runs back through it.
-    Trees have none.
+    omega(e_i) (1 + SURGERY_TOL) >= d_alt, d_alt found at unit scale by
+    ``_unit_detours`` and scaled back exactly.  Trees have none.
     """
     if is_tree(g):
         return []
+    _, k, _, bad = _unit_detours(g, omega)
+    with np.errstate(over="ignore"):  # a detour past the float range is inf
+        return [(i, float(np.ldexp(alt, k))) for i, alt in bad]
+
+
+def _unit_detours(g, omega):
+    """(w, k, d, bad): omega = w 2**k with w at unit scale, d the distance
+    matrix of w, and ``(i, d_alt)`` at the scale of w for each edge that is
+    not strict.
+
+    d finds the candidates, as min over z ~ x, z != y of w(xz) + d(z, y) is
+    at most d_alt; each is confirmed on the graph without e_i, so no detour
+    runs back through it.
+    """
     w, k = _unit_scale(omega.vector(g))
     d = distance_matrix(g, MetricAssignment(g.edges, w))
     (a, b), n, edges = g.ends.T, g.n_vertices, np.arange(g.n_edges)
@@ -340,8 +352,7 @@ def surgery_scan(g, omega):
         alt = _path_lengths(g, np.where(edges == i, math.inf, w))[a[i], b[i]]
         if reach[i] >= alt:
             bad.append((i, alt))
-    with np.errstate(over="ignore"):  # a detour past the float range is inf
-        return [(i, float(np.ldexp(alt, k))) for i, alt in bad]
+    return w, k, d, bad
 
 
 def apply_surgery(g, omega, t=0.0):

@@ -100,6 +100,26 @@ def build_measured(rng, n_vertices, edges, uniform=True):
     return MeasuredGraph(vertices, tuple(edges), m1, m2)
 
 
+# named graphs with one weight small beside the rest: an eigenbasis rebuild
+# of that weight errs by about eps * max omega, far more than eps * omega
+SMALL_WEIGHT_FLOWS = [
+    ("path:3", [1e-8, 1.0, 1.0]),
+    ("star:3", [1e-6, 1.0, 2.0]),
+    ("path:10", [1e-4] + [1.0] * 9),
+    ("star:6", [1e-3, 2.0, 1.0, 1.0, 3.0, 1.0]),
+]
+
+
+def expm_oracle(f, w0, t, digits=50):
+    """expm(F t) w0 computed by mpmath at ``digits`` significant digits and
+    rounded to floats: the reference for the spectral Forman solution."""
+    import mpmath
+
+    with mpmath.workdps(digits):
+        out = mpmath.expm(mpmath.matrix(f.tolist()) * t) * mpmath.matrix(list(w0))
+        return np.array([float(x) for x in out])
+
+
 def random_metric(rng, g, low=0.5, high=2.0):
     return MetricAssignment.from_vector(g, rng.uniform(low, high, g.n_edges))
 

@@ -14,7 +14,7 @@ import ricciflow.curvature
 import ricciflow.flow
 import ricciflow.graph
 from ricciflow.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, build_parser, main
-from conftest import count_linprog
+from conftest import SMALL_WEIGHT_FLOWS, count_linprog
 
 
 def read_csv_rows(path):
@@ -350,6 +350,45 @@ class TestFlowCommand:
         assert len(rows) == 11 * 3
         for row in rows:
             assert float(row["omega"]) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "name, w", SMALL_WEIGHT_FLOWS, ids=[name for name, _ in SMALL_WEIGHT_FLOWS]
+    )
+    def test_forman_start_is_omega0_and_its_curvature_table(self, tmp_path, name, w):
+        # the t=0 sample is omega0 itself, not its eigenbasis rebuild, so
+        # its kappa is the curvature table's Forman column byte for byte
+        argv = ["--named", name, "--omega0", ",".join(map(repr, w)), "--out", str(tmp_path)]
+        flow = ["flow", "--kind", "forman", "--t-end", "0.02", "--dt", "0.01"]
+        assert main([*flow, *argv]) == EXIT_OK
+        assert main(["curvature", *argv]) == EXIT_OK
+        stem = name.replace(":", "")
+        _, rows = read_csv_rows(tmp_path / f"flow_{stem}.csv")
+        _, table = read_csv_rows(tmp_path / f"curvature_{stem}.csv")
+        start = [row for row in rows if row["t"] == "0"]
+        assert [row["omega"] for row in start] == [ricciflow.flow.FLOAT_FMT % x for x in w]
+        assert [row["kappa"] for row in start] == [row["forman"] for row in table]
+
+    def test_forman_flow_keeps_a_tiny_normal_weight(self, tmp_path):
+        # 1e-20 beside 1 is lost in an eigenbasis rebuild (it exited 3 at
+        # t=0), so the t=0 sample must be omega0 itself
+        argv = ["flow", "--named", "path:3", "--kind", "forman", "--omega0", "1e-20,1,1"]
+        argv += ["--t-end", "0.02", "--dt", "0.01", "--out", str(tmp_path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning on stderr either
+            assert main(argv) == EXIT_OK
+        _, rows = read_csv_rows(tmp_path / "flow_path3.csv")
+        assert len(rows) == 3 * 3
+        assert [rows[0]["omega"], rows[0]["kappa"]] == ["1e-20", "-1e+20"]
+
+    def test_t_end_zero_gives_one_sample_the_same_for_both_kinds_on_a_tree(self, tmp_path):
+        # on a tree the Forman and Lin-Lu-Yau flows coincide
+        texts = []
+        for kind in ("forman", "lly"):
+            argv = ["flow", "--named", "star:3", "--kind", kind, "--omega0", "1e-6,1,2"]
+            assert main([*argv, "--t-end", "0", "--out", str(tmp_path / kind)]) == EXIT_OK
+            texts.append((tmp_path / kind / "flow_star3.csv").read_bytes())
+        assert texts[0] == texts[1]
+        assert texts[0].count(b"\n0,") == 3 and texts[0].count(b"\n") == 1 + 3
 
     def test_lly_flow_with_surgery_emits_event_csv(self, tmp_path):
         assert main(

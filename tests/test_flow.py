@@ -26,7 +26,9 @@ from ricciflow.curvature import forman_kappa
 from ricciflow.flow import CSV_BLOCK_SAMPLES, SAMPLE_EVERY_THRESHOLD, atomic_write
 from ricciflow.spectral import build_flow_matrix
 from conftest import (
+    SMALL_WEIGHT_FLOWS,
     curvature_residual,
+    expm_oracle,
     random_connected_graph,
     random_metric,
     random_tree,
@@ -36,6 +38,15 @@ from conftest import (
 
 def metric_vec(g, omega):
     return omega.vector(g)
+
+
+def small_weight_flow(name, w):
+    kind, n = name.split(":")
+    g = build_named_graph(kind, int(n))
+    return g, MetricAssignment.from_vector(g, w)
+
+
+SMALL_WEIGHT_IDS = [name for name, _ in SMALL_WEIGHT_FLOWS]
 
 
 class TestFormanFlowExact:
@@ -115,6 +126,19 @@ class TestFormanFlowExact:
         assert np.array_equal(kappa, per_row)
         assert np.array_equal(forman_kappa(f, w[0]), forman_kappa(f, w)[0])
 
+    @pytest.mark.parametrize("name, w", SMALL_WEIGHT_FLOWS, ids=SMALL_WEIGHT_IDS)
+    def test_matches_high_precision_matrix_exponential(self, name, w):
+        # every weight to 1e-12 relative, the small one included; the
+        # sample at t = 0 is omega0 itself
+        g, w0 = small_weight_flow(name, w)
+        times = [0.0, 0.01, 0.1, 1.0, 5.0]
+        ((_, _, omega, _),) = forman_flow_exact(g, w0, times).segments
+        assert np.array_equal(omega[0], w)
+        f = build_flow_matrix(g).F
+        for t, row in zip(times, omega):
+            ref = expm_oracle(f, w, t)
+            assert np.max(np.abs(row - ref) / ref) <= 1e-12, t
+
     @pytest.mark.parametrize("seed", range(3))
     def test_positivity(self, seed):
         rng = np.random.default_rng(seed)
@@ -133,6 +157,18 @@ class TestNormalizedState:
         vals = list(shape.vector(g))
         assert all(math.isfinite(v) and v > 0 for v in vals)
         assert sum(vals) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("name, w", SMALL_WEIGHT_FLOWS, ids=SMALL_WEIGHT_IDS)
+    def test_is_the_normalized_exact_flow(self, name, w):
+        g, w0 = small_weight_flow(name, w)
+        times = [0.5, 5.0]
+        ((_, _, omega, _),) = forman_flow_exact(g, w0, times).segments
+        for t, row in zip(times, omega):
+            shape = normalized_flow_state(g, w0, t).vector(g)
+            np.testing.assert_allclose(shape, row / np.sum(row), rtol=1e-15, atol=0)
+        start = normalized_flow_state(g, w0, 0.0).vector(g)
+        assert np.array_equal(start, np.divide(w, np.sum(w)))
+        assert np.isfinite(normalized_flow_state(g, w0, 1e6).vector(g)).all()
 
     def test_matches_exact_at_moderate_time(self):
         g = build_named_graph("path", 4)
