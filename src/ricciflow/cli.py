@@ -143,8 +143,6 @@ def _resolve_graph(args):
             raise InputError(
                 f"--omega0 needs {g.n_edges} values, got {len(vals)}"
             )
-        if any(v <= 0 for v in vals):
-            raise InputError("--omega0 values must be positive")
         omega0 = MetricAssignment.from_vector(g, vals)
     if omega0 is None:
         omega0 = MetricAssignment.uniform(g)

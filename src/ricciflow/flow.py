@@ -187,11 +187,13 @@ def _advance(kappa_fn, w, dt):
 def lly_flow_integrate(g, omega0, t_end, dt, surgery=True):
     """Integrate the Lin-Lu-Yau flow with RK4 and optional surgery.
 
-    The surgery scan runs once before each accepted step; removed edges
-    restart the system on the reduced graph in a new segment.  Samples are
-    recorded every step for small graphs, every 10th step otherwise
-    (endpoints always).  ConvergenceFailure if a weight, at t=0 or after
-    any step, leaves [TINY, inf), or a recorded curvature is not finite.
+    Each accepted state, t=0 included, is scanned for surgery, then
+    sampled if a sample is due, then stepped unless it is at t_end.
+    Removed edges restart the system on the reduced graph in a new
+    segment.  Samples are due every step for small graphs, every 10th step
+    otherwise (endpoints always).  ConvergenceFailure if a weight, at t=0
+    or after any step, leaves [TINY, inf), or a sampled curvature is not
+    finite.
     """
     if t_end < 0:
         raise ValueError("t_end must be nonnegative")
@@ -201,51 +203,41 @@ def lly_flow_integrate(g, omega0, t_end, dt, surgery=True):
     graph = g
     kappa_fn = _lly_kappa_fn(graph)
     w = omega0.vector(graph)
+    _require_in_range(0.0, w, TINY)
 
     surgeries = []
     rows = [(graph, [], [], [])]  # (graph, times, omega rows, kappa rows)
-
-    def record(t, w_vec):
-        with np.errstate(over="ignore", invalid="ignore"):  # raised just below
-            kappa = kappa_fn(w_vec)
-        _require_in_range(t, kappa)
-        _, times, omega_rows, kappa_rows = rows[-1]
-        times.append(t)
-        omega_rows.append(w_vec)
-        kappa_rows.append(kappa)
-
-    def maybe_operate(t):
-        nonlocal graph, kappa_fn, w
-        cut_graph, cut, events = apply_surgery(
-            graph, MetricAssignment.from_vector(graph, w), t=t
-        )
-        if events:
-            graph = cut_graph
-            surgeries.extend(events)
-            rows.append((graph, [], [], []))
-            kappa_fn = _lly_kappa_fn(graph)
-            w = cut.vector(graph)
-
-    _require_in_range(0.0, w, TINY)
-    if surgery:
-        maybe_operate(0.0)
-    record(0.0, w)
     t = 0.0
     step_no = 0
-    while t < t_end - 1e-12:
-        # the metric at t=0 was scanned just above
-        if surgery and step_no > 0:
-            maybe_operate(t)
+    sample = True
+    while True:
+        if surgery:
+            cut_graph, cut, events = apply_surgery(
+                graph, MetricAssignment.from_vector(graph, w), t=t
+            )
+            if events:
+                graph = cut_graph
+                surgeries.extend(events)
+                rows.append((graph, [], [], []))
+                kappa_fn = _lly_kappa_fn(graph)
+                w = cut.vector(graph)
+        if sample:
+            with np.errstate(over="ignore", invalid="ignore"):  # raised just below
+                kappa = kappa_fn(w)
+            _require_in_range(t, kappa)
+            _, times, omega_rows, kappa_rows = rows[-1]
+            times.append(t)
+            omega_rows.append(w)
+            kappa_rows.append(kappa)
+        if not t < t_end - 1e-12:  # negated, so a nan t_end ends here too
+            return FlowTrajectory([_segment(*r) for r in rows], surgeries)
         h = min(dt, t_end - t)
         w = _advance(kappa_fn, w, h)
         t += h
         _require_in_range(t, w, TINY)
         step_no += 1
         keep_every = 1 if graph.n_edges <= SAMPLE_EVERY_THRESHOLD else 10
-        if step_no % keep_every == 0 or t >= t_end - 1e-12:
-            record(t, w)
-
-    return FlowTrajectory([_segment(*r) for r in rows], surgeries)
+        sample = step_no % keep_every == 0 or t >= t_end - 1e-12
 
 
 def normalized_trajectory(traj):

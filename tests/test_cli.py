@@ -508,6 +508,14 @@ class TestFlowCommand:
         )
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("omega0", ["1,0,1", "1,-2,1"])
+    def test_nonpositive_omega0_is_input_error(self, tmp_path, capsys, omega0):
+        out = tmp_path / "out"
+        argv = ["flow", "--named", "path:3", "--omega0", omega0, "--out", str(out)]
+        assert main(argv) == EXIT_INPUT
+        assert "omega(1, 2) must be positive and finite" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
 
 class TestInverseCommand:
     def test_star3_flat_solvable(self, tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ricciflow.flow
 import ricciflow.graph
 from ricciflow import (
     DegenerateMetric,
@@ -27,6 +28,7 @@ from ricciflow.flow import CSV_BLOCK_SAMPLES, SAMPLE_EVERY_THRESHOLD, atomic_wri
 from ricciflow.spectral import build_flow_matrix
 from conftest import (
     SMALL_WEIGHT_FLOWS,
+    count_linprog,
     curvature_residual,
     expm_oracle,
     random_connected_graph,
@@ -270,7 +272,8 @@ class TestLLYIntegration:
             lly_flow_integrate(g, w0, 0.1, 1e-2, surgery=False)
 
     def test_one_surgery_scan_per_step(self, monkeypatch):
-        # the scan before the first step would repeat the one at t=0
+        # one scan per accepted state: t=0 and each of the 5 steps' results,
+        # with none repeated before the first step
         scans = []
         original = ricciflow.graph.surgery_scan
 
@@ -282,7 +285,34 @@ class TestLLYIntegration:
         g = build_named_graph("cycle", 5)
         traj = lly_flow_integrate(g, MetricAssignment.uniform(g), 0.05, 1e-2)
         assert len(traj.times) == 6
-        assert len(scans) == 5
+        assert len(scans) == 6
+
+    def test_surgery_mid_flow_splits_the_samples(self, monkeypatch):
+        # the first step's result stretches 3-0 past its detour, so the scan
+        # at t=0.01 cuts it and that state's sample lies on the path
+        calls = count_linprog(monkeypatch)
+        advance = ricciflow.flow._advance
+        stretched = []
+
+        def stretch_first(kappa_fn, w, dt):
+            out = advance(kappa_fn, w, dt)
+            if not stretched:
+                out[3] = 1.2 * out[:3].sum()
+                stretched.append(out[3])
+            return out
+
+        monkeypatch.setattr(ricciflow.flow, "_advance", stretch_first)
+        g = build_named_graph("cycle", 4)
+        traj = lly_flow_integrate(g, MetricAssignment.uniform(g), 0.03, 0.01)
+        (event,) = traj.surgeries
+        assert event.removed_edge == (3, 0) and event.time == pytest.approx(0.01)
+        (g0, times0, omega0, _), (g1, times1, omega1, _) = traj.segments
+        assert g0.n_edges == 4 and times0.tolist() == [0.0] and omega0.shape == (1, 4)
+        assert g1.n_edges == 3 and omega1.shape == (3, 3)
+        assert times1 == pytest.approx([0.01, 0.02, 0.03])
+        # 4 LPs for the t=0 sample and 4 per RK4 stage of the first step;
+        # the cut graph is a tree, whose curvature needs no LP
+        assert len(calls) == 4 + 4 * 4
 
     def test_large_graph_keeps_every_tenth_step(self):
         # past SAMPLE_EVERY_THRESHOLD edges a sample is kept every 10th step,
