@@ -168,12 +168,11 @@ def cmd_curvature(args):
             kernel(g, x, eps)  # EpsilonTooLarge before any LP is solved
         if eps < floor:
             raise InputError(f"--epsilon {eps:g} is below default epsilon / 100 = {floor:g}")
-    forman = forman_vector(g, omega).tolist()
-    lly = lly_vector(g, omega).tolist()
+    # in this order, so lly_vector raises DegenerateMetric before any LP is solved
+    columns = (forman_vector(g, omega), lly_vector(g, omega), lly_limit_estimate(g, omega, eps))
     lines = ["edge,forman,lly,lly_limit_estimate"]
-    for i, e in enumerate(g.edges):
-        row = [forman[i], lly[i], lly_limit_estimate(g, omega, e, eps)]
-        lines.append(",".join([edge_id(*e)] + [FLOAT_FMT % x for x in row]))
+    for e, row in zip(g.edges, np.stack(columns, axis=1).tolist()):
+        lines.append(",".join([edge_id(*e), *(FLOAT_FMT % x for x in row)]))
     out = os.path.join(args.out, f"curvature_{name}.csv")
     atomic_write(out, "\n".join(lines) + "\n")
     print(out)
@@ -411,6 +410,10 @@ def main(argv=None):
     except (InputError, GraphError, EpsilonTooLarge) as exc:
         # EpsilonTooLarge comes only from --epsilon: default_epsilon is valid
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as exc:  # an unusable --out; an unreadable --input is an InputError
+        where = exc.filename2 or exc.filename or args.out
+        print(f"error: cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_INPUT
     except (DegenerateMetric, RuntimeError) as exc:
         # ConvergenceFailure, StepSizeTooLarge and failed LPs are RuntimeErrors

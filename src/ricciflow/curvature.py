@@ -2,19 +2,20 @@
 
 Graph Forman curvature is one formula, ``forman_kappa``: the curvature
 table, the Forman flow and the Lin-Lu-Yau flow on trees all read it.
-``forman_vector`` and ``lly_vector`` return one value per edge as an array
-in the order of ``g.edges``; ``forman_edge`` and ``lly_edge`` return one.
+``forman_vector``, ``lly_vector`` and ``lly_limit_estimate`` return one
+value per edge as an array in edge order; ``forman_edge`` and ``lly_edge``
+return one.
 
 Lin-Lu-Yau curvature comes in two independent routes: an exact linear
-program over Lipschitz potentials (``lly_edge``) and a finite-laziness
+program over Lipschitz potentials (``lly_vector``) and a finite-laziness
 transport estimate (``lly_limit_estimate``) built from Wasserstein
 distances between lazy random-walk kernels.  The curvature of an edge
 (x, y) depends only on the potential over B1(x) u B1(y), so its LP has one
 variable per vertex there and one row per pair of B1(x) x B1(y), with the
 bounds read from one distance matrix per metric.  A kernel is a pair of
-arrays, vertex positions and masses, and the estimate reads d(x, y) and
-every transport cost from one distance matrix.  The two routes agree to
-solver precision for sufficiently lazy kernels, which the tests exploit.
+arrays, vertex positions and masses; the estimate builds one per vertex
+and reads every d(x, y) and transport cost from a distance matrix of its
+own.  The two routes agree to solver precision for lazy enough kernels.
 
 The curvatures are scale-invariant but HiGHS's tolerances are absolute, so
 LPs and Forman products run on omega scaled exactly to unit size by a power
@@ -36,11 +37,10 @@ import numpy as np
 
 from .graph import (
     DegenerateMetric,
-    MetricAssignment,
+    _path_lengths,
     _unit_detours,
     _unit_scale,
     deg_measure,
-    distance_matrix,
     edge_id,
 )
 from .spectral import build_flow_matrix
@@ -222,20 +222,17 @@ def default_epsilon(g):
     return 1.0 / (4.0 * max(deg_measure(g, x) for x in g.vertices))
 
 
-def lly_limit_estimate(g, omega, e, eps=None):
-    """Transport-based curvature estimate (1 - W/d) / eps.
+def lly_limit_estimate(g, omega, eps=None):
+    """Transport-based curvature estimate (1 - W/d) / eps of every edge.
 
-    Serves as the independent oracle for lly_edge; exact for eps in the
-    lazy regime (eps <= 1 / (2 max Deg)).  W / d is scale-free, so both are
-    read from one distance matrix of omega scaled exactly to unit size,
-    where no path length overflows.
+    The independent oracle for ``lly_vector``, so it builds its own
+    distance matrix, and one kernel per vertex; exact for eps in the lazy
+    regime (eps <= 1 / (2 max Deg)).  W / d is scale-free, so both are read
+    from omega scaled exactly to unit size, where no path length overflows.
     """
-    x, y = e
     if eps is None:
         eps = default_epsilon(g)
-    mu = kernel(g, x, eps)
-    nu = kernel(g, y, eps)
-    unit = MetricAssignment.from_vector(g, _unit_scale(omega.vector(g))[0])
-    d = distance_matrix(g, unit)
-    vid = g.vertex_index
-    return (1.0 - wasserstein(d, mu, nu) / float(d[vid[x], vid[y]])) / eps
+    kernels = [kernel(g, x, eps) for x in g.vertices]
+    d = _path_lengths(g, _unit_scale(omega.vector(g))[0])
+    ratios = [wasserstein(d, kernels[a], kernels[b]) / d[a, b] for a, b in g.ends.tolist()]
+    return (1.0 - np.array(ratios)) / eps

@@ -340,7 +340,7 @@ def _unit_detours(g, omega):
     runs back through it.
     """
     w, k = _unit_scale(omega.vector(g))
-    d = distance_matrix(g, MetricAssignment(g.edges, w))
+    d = _path_lengths(g, w)
     (a, b), n, edges = g.ends.T, g.n_vertices, np.arange(g.n_edges)
     step = np.full((n, n), math.inf)
     step[a, b] = step[b, a] = w
@@ -444,6 +444,10 @@ def parse_graph_text(text):
 
 
 def load_graph(path):
-    """Read a graph file from disk; see parse_graph_text."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph_text(fh.read())
+    """Read a UTF-8 graph file from disk; see parse_graph_text."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return parse_graph_text(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise GraphParseError(f"not UTF-8 text at byte {exc.start}: {path}") from exc

@@ -282,13 +282,6 @@ def inverse_curvature(g, kappa_target, tol=DEFAULT_TOL_ZERO):
     )
 
 
-def _require_uniform_tree(g):
-    if not is_tree(g):
-        raise NotATree("graph is not a tree")
-    if np.any(g.m1 != 1.0) or np.any(g.m2 != 1.0):
-        raise NotUniformMeasure("tree classification needs m1 = m2 = 1")
-
-
 def classify_tree_uniform(g):
     """Complete trichotomy for uniform-measure trees.
 
@@ -296,7 +289,10 @@ def classify_tree_uniform(g):
     case (curvature 0), every other tree with a degree >= 3 vertex blows
     up (negative limiting curvature).
     """
-    _require_uniform_tree(g)
+    if not is_tree(g):
+        raise NotATree("graph is not a tree")
+    if np.any(g.m1 != 1.0) or np.any(g.m2 != 1.0):
+        raise NotUniformMeasure("tree classification needs m1 = m2 = 1")
     degrees = sorted(g.degree(x) for x in g.vertices)
     if degrees[-1] <= 2:
         return PATH_CASE

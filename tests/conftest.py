@@ -211,6 +211,24 @@ def reference_lly_vector(g, omega):
     )
 
 
+def reference_lly_limit_estimate(g, omega, e, eps=None):
+    """Transport estimate (1 - W/d) / eps of the one edge e, from its own
+    two kernels and its own distance matrix: the per-edge form that
+    ``ricciflow.curvature.lly_limit_estimate`` computes for every edge at once."""
+    from ricciflow.curvature import default_epsilon, kernel, wasserstein
+    from ricciflow.graph import _unit_scale, distance_matrix
+
+    x, y = e
+    if eps is None:
+        eps = default_epsilon(g)
+    mu = kernel(g, x, eps)
+    nu = kernel(g, y, eps)
+    unit = MetricAssignment.from_vector(g, _unit_scale(omega.vector(g))[0])
+    d = distance_matrix(g, unit)
+    vid = g.vertex_index
+    return (1.0 - wasserstein(d, mu, nu) / float(d[vid[x], vid[y]])) / eps
+
+
 def reference_jacobi_sweeps(av, tol, max_sweeps):
     """Cyclic Jacobi rotations in place, one matrix entry at a time.
 

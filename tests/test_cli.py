@@ -8,13 +8,14 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import ricciflow.curvature
 import ricciflow.flow
 import ricciflow.graph
 from ricciflow.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, build_parser, main
-from conftest import SMALL_WEIGHT_FLOWS, count_linprog
+from conftest import SMALL_WEIGHT_FLOWS, count_linprog, random_connected_graph
 
 
 def read_csv_rows(path):
@@ -227,20 +228,57 @@ class TestCurvatureCommand:
         assert calls == []
         assert os.listdir(out) == []
 
-    def test_one_distance_matrix_per_estimate(self, tmp_path, monkeypatch):
-        # the surgery scan before the LLY LPs builds one, and each edge's
-        # transport estimate one, from which it reads d(x, y) and its costs
+    @pytest.mark.parametrize("graph", ["cycle5", "chorded40"])
+    def test_two_distance_matrices_per_table(self, tmp_path, monkeypatch, graph):
+        # the strictness test before the LLY LPs builds one Floyd-Warshall
+        # matrix and the transport estimate its own, whatever the edge count
+        if graph == "cycle5":
+            argv, n_edges = ["--named", "cycle:5"], 5
+        else:
+            g = random_connected_graph(np.random.default_rng(40), 40, 20)
+            f = tmp_path / "chorded40.graph"
+            f.write_text(
+                f"graph {g.n_vertices} {g.n_edges}\n"
+                + "".join(f"vertex {x} 1\n" for x in g.vertices)
+                + "".join(f"edge {u} {v} 1\n" for u, v in g.edges)
+            )
+            argv, n_edges = ["--input", str(f)], g.n_edges
         builds = []
-        original = ricciflow.graph.distance_matrix
+        original = ricciflow.graph._path_lengths
 
-        def counting(g, omega):
+        def counting(g, w):
             builds.append(g)
-            return original(g, omega)
+            return original(g, w)
 
-        for module in (ricciflow.graph, ricciflow.curvature):
-            monkeypatch.setattr(module, "distance_matrix", counting)
-        assert main(["curvature", "--named", "cycle:5", "--out", str(tmp_path)]) == EXIT_OK
-        assert len(builds) == 5 + 1
+        for name, module in list(sys.modules.items()):
+            if name.startswith("ricciflow") and vars(module).get("_path_lengths") is original:
+                monkeypatch.setattr(module, "_path_lengths", counting)
+        out = tmp_path / "out"
+        assert main(["curvature", *argv, "--out", str(out)]) == EXIT_OK
+        _, rows = read_csv_rows(out / f"curvature_{graph}.csv")
+        assert len(rows) == n_edges
+        assert len(builds) == 2
+
+
+class TestUnusableOutput:
+    def test_out_that_is_a_file_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("keep\n")
+        code = main(["spectrum", "--named", "path:3", "--out", str(out)])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == ["taken"] and out.read_text() == "keep\n"
+
+    def test_output_name_taken_by_a_directory_is_input_error(self, tmp_path, capsys):
+        (tmp_path / "spectrum_path3.json").mkdir()
+        code = main(["spectrum", "--named", "path:3", "--out", str(tmp_path)])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "spectrum_path3.json" in err and ".part" not in err
+        assert os.listdir(tmp_path) == ["spectrum_path3.json"]
+        assert os.listdir(tmp_path / "spectrum_path3.json") == []
 
 
 class TestSpectrumCommand:
@@ -717,6 +755,15 @@ class TestDegenerateGraphFile:
         err = capsys.readouterr().err
         assert "overflow" in err
         assert "Traceback" not in err
+
+    def test_graph_file_that_is_not_utf8_is_input_error(self, tmp_path, capsys):
+        graph = tmp_path / "bytes.graph"
+        graph.write_bytes(b"graph 2 1\nvertex \xff 1\n")
+        out = tmp_path / "out"
+        assert main(["classify", "--input", str(graph), "--out", str(out)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "UTF-8" in err and err.count("\n") == 1
+        assert os.listdir(out) == []
 
 
 LLY_CYCLE4 = ["flow", "--named", "cycle:4", "--kind", "lly", "--omega0", "1,1,1,3.5"]

@@ -28,6 +28,7 @@ from conftest import (
     random_connected_graph,
     random_metric,
     random_tree,
+    reference_lly_limit_estimate,
     reference_lly_vector,
 )
 
@@ -109,10 +110,9 @@ class TestScaleInvariance:
         scaled = MetricAssignment.from_vector(g, 2.0**k * w.vector(g))
         assert forman_vector(g, scaled).tobytes() == forman_vector(g, w).tobytes()
         assert np.allclose(lly_vector(g, scaled), lly_vector(g, w), rtol=0, atol=1e-9)
-        for e in g.edges:
-            assert lly_limit_estimate(g, scaled, e) == pytest.approx(
-                lly_limit_estimate(g, w, e), abs=1e-9
-            )
+        assert np.allclose(
+            lly_limit_estimate(g, scaled), lly_limit_estimate(g, w), rtol=0, atol=1e-9
+        )
 
 
 class TestKernel:
@@ -255,24 +255,20 @@ class TestLLYLimitOracle:
         rng = np.random.default_rng(7)
         g = random_tree(rng, 6, uniform_measures=False)
         w = random_metric(rng, g)
-        for e in g.edges:
-            est = lly_limit_estimate(g, w, e)
-            assert abs(est - forman_edge(g, w, e)) < 1e-6
+        est = lly_limit_estimate(g, w)
+        assert np.all(np.abs(est - forman_vector(g, w)) < 1e-6)
 
     def test_triangle_at_fixed_epsilon(self):
         g = build_named_graph("cycle", 3)
         w = MetricAssignment.uniform(g)
-        assert lly_limit_estimate(g, w, g.edges[0], 0.05) == pytest.approx(
-            3.0, abs=1e-6
-        )
+        assert lly_limit_estimate(g, w, 0.05)[0] == pytest.approx(3.0, abs=1e-6)
 
     def test_estimate_stable_under_halving(self):
         g = build_named_graph("cycle", 5)
         w = MetricAssignment.uniform(g)
         eps = default_epsilon(g)
-        e = g.edges[2]
-        a = lly_limit_estimate(g, w, e, eps)
-        b = lly_limit_estimate(g, w, e, eps / 2)
+        a = lly_limit_estimate(g, w, eps)[2]
+        b = lly_limit_estimate(g, w, eps / 2)[2]
         assert abs(a - b) < 1e-8
 
     @pytest.mark.parametrize("seed", range(4))
@@ -284,10 +280,11 @@ class TestLLYLimitOracle:
 
         if surgery_scan(g, w):
             pytest.skip("degenerate random metric")
-        for e in g.edges:
+        estimate = lly_limit_estimate(g, w)
+        for i, e in enumerate(g.edges):
             kap = lly_edge(g, w, e)
             assert kap >= forman_edge(g, w, e) - 1e-8
-            assert abs(kap - lly_limit_estimate(g, w, e)) < 1e-6
+            assert abs(kap - estimate[i]) < 1e-6
 
 
 def draw_measured_metric(draw, n, edges):
@@ -368,8 +365,15 @@ class TestCurvatureProperties:
         g, w = case
         lly = lly_vector(g, w)
         for eps in (default_epsilon(g), default_epsilon(g) / 2):
-            estimate = [lly_limit_estimate(g, w, e, eps) for e in g.edges]
-            assert np.allclose(estimate, lly, rtol=0, atol=1e-6)
+            assert np.allclose(lly_limit_estimate(g, w, eps), lly, rtol=0, atol=1e-6)
+
+    @settings(max_examples=20, deadline=None)
+    @given(strict_measured_metrics())
+    def test_transport_estimate_vector_equals_per_edge_reference(self, case):
+        g, w = case
+        for eps in (default_epsilon(g), default_epsilon(g) / 2):
+            reference = [reference_lly_limit_estimate(g, w, e, eps) for e in g.edges]
+            assert np.array_equal(lly_limit_estimate(g, w, eps), reference)
 
     @settings(max_examples=40, deadline=None)
     @given(st.one_of(wheels_with_bridged_tails(), strict_measured_metrics()))

@@ -17,6 +17,7 @@ from ricciflow import (
     deg_measure,
     distance_matrix,
     is_tree,
+    load_graph,
     parse_graph_text,
     shortest_distance,
     surgery_scan,
@@ -508,6 +509,12 @@ edge b c 3.0 0.25
     def test_empty(self):
         with pytest.raises(GraphParseError):
             parse_graph_text("")
+
+    def test_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "bytes.graph"
+        path.write_bytes(b"graph 2 1\nvertex \xff 1\n")
+        with pytest.raises(GraphParseError, match="not UTF-8 text at byte 17"):
+            load_graph(path)
 
     def test_bad_header(self):
         with pytest.raises(GraphParseError):
