@@ -21,17 +21,17 @@ The curvatures are scale-invariant but HiGHS's tolerances are absolute, so
 LPs and Forman products run on omega scaled exactly to unit size by a power
 of two (``graph._unit_scale``), as the surgery scan does.
 
-Both routes solve their LPs with ``scipy.optimize.linprog`` (HiGHS).  It is
-imported on first use, so the Forman and spectral commands start on numpy
-alone, and then bound as the module global ``linprog``: the Lin-Lu-Yau LP
-and ``wasserstein`` look that global up at call time, never a local copy, so a
-tracer that replaces module-level bindings of ``linprog`` sees every solve.
+Every LP is solved at one call site, ``_highs``, by ``scipy.optimize.linprog``
+(HiGHS), and every Lin-Lu-Yau value by one scan-and-solve loop, so
+``lly_edge`` is the entry of ``lly_vector`` bit for bit.  ``linprog`` is a
+plain module global, bound at the first solve, so the Forman and spectral
+commands start on numpy alone; a tracer that replaces module-level bindings
+of ``linprog`` sees every solve.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
@@ -50,18 +50,18 @@ KERNEL_MASS_TOL = 1e-12
 HIGHS_OPTIONS = {"presolve": False}
 
 
-def __getattr__(name):
-    # PEP 562 hook: the first lookup of ``linprog`` imports scipy.optimize
-    # and binds the solver as a module global; later lookups find the global.
-    if name == "linprog":
-        global linprog
+linprog = None  # scipy.optimize.linprog, bound by the first solve
+
+
+def _highs(what, c, **constraints):
+    """Optimum of the LP min c.x under ``constraints``, solved by HiGHS."""
+    global linprog
+    if linprog is None:
         from scipy.optimize import linprog
-
-        return linprog
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-_module = sys.modules[__name__]
+    res = linprog(c, **constraints, method="highs", options=HIGHS_OPTIONS)
+    if not res.success:
+        raise RuntimeError(f"{what} failed: {res.message}")
+    return float(res.fun)
 
 
 class EpsilonTooLarge(ValueError):
@@ -130,12 +130,8 @@ def wasserstein(d, mu, nu):
     a_eq = np.vstack([np.kron(np.eye(ns), np.ones(nd)), np.tile(np.eye(nd), ns)])
     b_eq = np.concatenate([a, b])
 
-    res = _module.linprog(
-        c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs", options=HIGHS_OPTIONS
-    )
-    if not res.success:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    return math.ldexp(res.fun, k)
+    cost = _highs("transport LP", c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None))
+    return math.ldexp(cost, k)
 
 
 def _lly_lp(g, dist, x, y, d):
@@ -175,29 +171,28 @@ def _lly_lp(g, dist, x, y, d):
     bounds[pos_x[0]] = 0.0  # gauge
     bounds[pos_y[0]] = d  # gradient normalization
 
-    res = _module.linprog(
-        c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs", options=HIGHS_OPTIONS
-    )
-    if not res.success:
-        raise RuntimeError(
-            f"Lin-Lu-Yau LP of edge {edge_id(x, y)} failed: {res.message}"
-        )
-    return float(res.fun)
+    what = f"Lin-Lu-Yau LP of edge {edge_id(x, y)}"
+    return _highs(what, c, A_ub=a_ub, b_ub=b_ub, bounds=bounds)
+
+
+def _lly_values(g, omega, edges):
+    # one strictness scan and one unit-scale distance matrix, then one LP
+    # per listed edge index, posed in the edge's stored orientation
+    w, _, dist, bad = _unit_detours(g, omega)
+    names = [edge_id(*g.edges[i]) for i, _ in bad if i in edges]
+    if names:
+        raise DegenerateMetric(f"metric is degenerate on edges {names}")
+    return np.array([_lly_lp(g, dist, *g.edges[i], float(w[i])) for i in edges])
 
 
 def lly_edge(g, omega, e):
-    """Exact Lin-Lu-Yau curvature of the edge e via the limit-free LP.
+    """Exact Lin-Lu-Yau curvature of the edge e, in either orientation: its
+    entry of ``lly_vector``, bit for bit.
 
     DegenerateMetric unless e is strict, as ``surgery_scan`` decides; other
     edges need not be.
     """
-    x, y = e
-    i = g.position(x, y)
-    w, _, dist, bad = _unit_detours(g, omega)
-    if any(j == i for j, _ in bad):
-        name = edge_id(*g.edges[i])
-        raise DegenerateMetric(f"edge {name} is not the strict shortest path")
-    return _lly_lp(g, dist, x, y, float(w[i]))
+    return float(_lly_values(g, omega, [g.position(*e)])[0])
 
 
 def lly_vector(g, omega):
@@ -208,13 +203,7 @@ def lly_vector(g, omega):
     only the balls B1(x) u B1(y) of its ends, and the test and the LPs read
     one distance matrix of omega scaled to unit size.
     """
-    w, _, dist, bad = _unit_detours(g, omega)
-    if bad:
-        names = [edge_id(*g.edges[i]) for i, _ in bad]
-        raise DegenerateMetric(f"metric is degenerate on edges {names}")
-    return np.array(
-        [_lly_lp(g, dist, u, v, d) for (u, v), d in zip(g.edges, w.tolist())]
-    )
+    return _lly_values(g, omega, range(g.n_edges))
 
 
 def default_epsilon(g):

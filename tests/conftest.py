@@ -1,10 +1,12 @@
-"""Shared helpers: deterministic random graph generators, trajectory samples,
-and reference implementations that the package is checked against."""
+"""Shared helpers: deterministic random graph generators, hypothesis
+strategies for measured metrics, trajectory samples, and reference
+implementations that the package is checked against."""
 
 import inspect
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from ricciflow import MeasuredGraph, MetricAssignment
 
@@ -279,3 +281,47 @@ def reference_jacobi_sweeps(av, tol, max_sweeps):
     av[:n] = am
     av[n:] = vm
     return sweeps
+
+
+def draw_measured_metric(draw, n, edges):
+    """Measures and a strict metric for the graph on range(n) with these edges.
+
+    Uniform measures or degree-normalized ones (random m2, m1(x) the sum of
+    incident m2, so Deg = 1).  Weights are all 1, tied in {1, 1.5}, or drawn
+    from [1, 1.9], so every detour, two edges or more, is longer than its edge.
+    """
+    ne = len(edges)
+    if draw(st.booleans()):
+        m1, m2 = [1.0] * n, [1.0] * ne
+    else:
+        m2 = draw(st.lists(st.floats(0.5, 2.0), min_size=ne, max_size=ne))
+        m1 = [0.0] * n
+        for (u, v), a in zip(edges, m2):
+            m1[u] += a
+            m1[v] += a
+    g = MeasuredGraph(tuple(range(n)), tuple(edges), m1, m2)
+    w = draw(
+        st.one_of(
+            st.just([1.0] * ne),
+            st.lists(st.sampled_from([1.0, 1.5]), min_size=ne, max_size=ne),
+            st.lists(st.floats(1.0, 1.9), min_size=ne, max_size=ne),
+        )
+    )
+    return g, MetricAssignment.from_vector(g, w)
+
+
+def draw_chorded_tree(draw, n, max_chords):
+    """Edges of a random tree on range(n) plus at most max_chords random chords."""
+    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    chords = [(i, j) for j in range(n) for i in range(j) if (i, j) not in edges]
+    if chords:
+        edges += draw(st.lists(st.sampled_from(chords), unique=True, max_size=max_chords))
+    return edges
+
+
+@st.composite
+def strict_measured_metrics(draw):
+    """Random connected graph on at most 7 vertices with a strict metric:
+    a tree plus random chords, measured by ``draw_measured_metric``."""
+    n = draw(st.integers(2, 7))
+    return draw_measured_metric(draw, n, draw_chorded_tree(draw, n, 8))

@@ -36,29 +36,35 @@ def test_every_target_resolves_to_a_callable():
 
 
 def test_curvature_binds_scipy_linprog_at_module_level():
+    g = build_named_graph("cycle", 3)
+    ricciflow.curvature.lly_edge(g, MetricAssignment.uniform(g), (0, 1))
     assert ricciflow.curvature.linprog is scipy.optimize.linprog
 
 
 def test_lp_solves_look_up_the_module_level_binding(monkeypatch):
-    # linprog is bound on first use, so drop the binding and let each LP
-    # entry point create it; then every solve must go through that name
-    curvature = vars(ricciflow.curvature)
+    # linprog is bound by the first solve, so reset the binding and let each
+    # LP entry point bind it; then every solve must go through that name
+    curvature = ricciflow.curvature
     g = build_named_graph("cycle", 5)
     omega = MetricAssignment.uniform(g)
     d, mu, nu = distance_matrix(g, omega), kernel(g, 0, 0.1), kernel(g, 1, 0.1)
     solves = (
-        lambda: ricciflow.curvature.lly_edge(g, omega, (0, 1)),
-        lambda: ricciflow.curvature.wasserstein(d, mu, nu),
+        (lambda: curvature.lly_edge(g, omega, (0, 1)), 1),
+        (lambda: curvature.lly_vector(g, omega), g.n_edges),
+        (lambda: curvature.wasserstein(d, mu, nu), 1),
+        (lambda: curvature.lly_limit_estimate(g, omega), g.n_edges),
     )
-    for solve in solves:
-        monkeypatch.delitem(curvature, "linprog", raising=False)
+    for solve, _ in solves:
+        monkeypatch.setattr(curvature, "linprog", None)
         solve()
-        assert curvature["linprog"] is scipy.optimize.linprog
+        assert curvature.linprog is scipy.optimize.linprog
 
     calls = count_linprog(monkeypatch)
-    for n, solve in enumerate(solves, start=1):
+    expected = 0
+    for solve, lps in solves:
         solve()
-        assert len(calls) == n
+        expected += lps
+        assert len(calls) == expected
 
 
 # The traced benchmark run checks the LP count against a formula: a curvature

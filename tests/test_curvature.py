@@ -1,10 +1,12 @@
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ricciflow.curvature
 from ricciflow import (
     DegenerateMetric,
     EpsilonTooLarge,
@@ -25,11 +27,14 @@ from ricciflow import (
 )
 from conftest import (
     count_linprog,
+    draw_chorded_tree,
+    draw_measured_metric,
     random_connected_graph,
     random_metric,
     random_tree,
     reference_lly_limit_estimate,
     reference_lly_vector,
+    strict_measured_metrics,
 )
 
 
@@ -204,7 +209,7 @@ class TestLLY:
         w = MetricAssignment.from_vector(g, [1.0, 1.0, 2.0])
         with pytest.raises(DegenerateMetric, match=r"edges \['2-0'\]$"):
             lly_vector(g, w)
-        with pytest.raises(DegenerateMetric):
+        with pytest.raises(DegenerateMetric, match=r"edges \['2-0'\]$"):
             lly_edge(g, w, (0, 2))
         # only the edge's own strictness matters to lly_edge
         assert math.isfinite(lly_edge(g, w, g.edges[0]))
@@ -227,6 +232,19 @@ class TestLLY:
         values = lly_vector(g, w)
         for i, (u, v) in enumerate(g.edges):
             assert values[i] == lly_edge(g, w, (u, v))
+            assert values[i] == lly_edge(g, w, (v, u))
+
+    def test_failed_solve_names_the_lp(self, monkeypatch):
+        # both LP kinds share one failure check, and an edge is named in its
+        # stored orientation
+        failed = types.SimpleNamespace(success=False, message="no optimum", fun=None)
+        monkeypatch.setattr(ricciflow.curvature, "linprog", lambda *a, **k: failed)
+        g = build_named_graph("cycle", 3)
+        w = MetricAssignment.uniform(g)
+        with pytest.raises(RuntimeError, match=r"^Lin-Lu-Yau LP of edge 0-1 failed: no optimum$"):
+            lly_edge(g, w, (1, 0))
+        with pytest.raises(RuntimeError, match=r"^transport LP failed: no optimum$"):
+            lly_limit_estimate(g, w)
 
     def test_lps_are_local_to_the_edge(self, monkeypatch):
         # one LP per edge, over B1(x) u B1(y) whatever the size of the graph
@@ -287,50 +305,6 @@ class TestLLYLimitOracle:
             assert abs(kap - estimate[i]) < 1e-6
 
 
-def draw_measured_metric(draw, n, edges):
-    """Measures and a strict metric for the graph on range(n) with these edges.
-
-    Uniform measures or degree-normalized ones (random m2, m1(x) the sum of
-    incident m2, so Deg = 1).  Weights are all 1, tied in {1, 1.5}, or drawn
-    from [1, 1.9], so every detour, two edges or more, is longer than its edge.
-    """
-    ne = len(edges)
-    if draw(st.booleans()):
-        m1, m2 = [1.0] * n, [1.0] * ne
-    else:
-        m2 = draw(st.lists(st.floats(0.5, 2.0), min_size=ne, max_size=ne))
-        m1 = [0.0] * n
-        for (u, v), a in zip(edges, m2):
-            m1[u] += a
-            m1[v] += a
-    g = MeasuredGraph(tuple(range(n)), tuple(edges), m1, m2)
-    w = draw(
-        st.one_of(
-            st.just([1.0] * ne),
-            st.lists(st.sampled_from([1.0, 1.5]), min_size=ne, max_size=ne),
-            st.lists(st.floats(1.0, 1.9), min_size=ne, max_size=ne),
-        )
-    )
-    return g, MetricAssignment.from_vector(g, w)
-
-
-def draw_chorded_tree(draw, n, max_chords):
-    """Edges of a random tree on range(n) plus at most max_chords random chords."""
-    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
-    chords = [(i, j) for j in range(n) for i in range(j) if (i, j) not in edges]
-    if chords:
-        edges += draw(st.lists(st.sampled_from(chords), unique=True, max_size=max_chords))
-    return edges
-
-
-@st.composite
-def strict_measured_metrics(draw):
-    """Random connected graph on at most 7 vertices with a strict metric:
-    a tree plus random chords, measured by ``draw_measured_metric``."""
-    n = draw(st.integers(2, 7))
-    return draw_measured_metric(draw, n, draw_chorded_tree(draw, n, 8))
-
-
 @st.composite
 def wheels_with_bridged_tails(draw):
     """A wheel, optionally joined by a bridge to a tree plus random chords.
@@ -358,6 +332,15 @@ class TestCurvatureProperties:
         assert np.all(lly >= forman - 1e-8)
         if is_tree(g):
             assert np.allclose(lly, forman, rtol=0, atol=1e-8)
+
+    @settings(max_examples=30, deadline=None)
+    @given(strict_measured_metrics(), st.integers(-60, 60))
+    def test_curvatures_are_scale_free_under_powers_of_two(self, case, k):
+        # both read omega through _unit_scale, so omega 2**k poses the same LPs
+        g, w = case
+        scaled = MetricAssignment.from_vector(g, 2.0**k * w.vector(g))
+        assert np.array_equal(lly_vector(g, scaled), lly_vector(g, w))
+        assert np.array_equal(forman_vector(g, scaled), forman_vector(g, w))
 
     @settings(max_examples=20, deadline=None)
     @given(strict_measured_metrics())

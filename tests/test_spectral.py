@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import ricciflow.spectral
 from ricciflow import (
@@ -18,6 +19,7 @@ from ricciflow import (
     eigendecompose,
     flow_coefficients,
     forman_edge,
+    forman_flow_exact,
     inverse_curvature,
     jacobi_eigh,
 )
@@ -25,6 +27,7 @@ from ricciflow.spectral import (
     BIG_DEGREE_CASE,
     CONSTANT_METRIC,
     DIVERGENT,
+    EIGEN_GAP_TOL,
     K13_CASE,
     PATH_CASE,
     VANISHING,
@@ -35,6 +38,7 @@ from conftest import (
     random_metric,
     random_tree,
     reference_jacobi_sweeps,
+    strict_measured_metrics,
 )
 
 
@@ -391,3 +395,22 @@ class TestTreeClassification:
         b = line_graph_adjacency(g)
         w, _ = jacobi_eigh(b)
         assert w[-1] >= max(g.degree(x) for x in g.vertices) - 1 - 1e-10
+
+
+class TestPerronStructure:
+    # on a connected graph F is essentially nonnegative and irreducible, so
+    # its top eigenvalue is simple with a positive eigenvector, and the
+    # linear flow keeps every weight positive
+    @settings(max_examples=40, deadline=None)
+    @given(strict_measured_metrics())
+    def test_perron_vector_and_flow_are_positive(self, case):
+        g, w = case
+        sd = eigendecompose(build_flow_matrix(g))
+        if g.n_edges > 1:
+            assert sd.eigenvalues[-1] - sd.eigenvalues[-2] > EIGEN_GAP_TOL
+        assert np.all(sd.perron_vector > 0)
+        limit = classify_convergence(g).limiting_normalized_metric
+        assert np.all(limit > 0)
+        assert abs(limit.sum() - 1.0) <= 1e-12
+        traj = forman_flow_exact(g, w, [0.0, 0.5, 2.0])
+        assert all(np.all(omega > 0) for _, _, omega, _ in traj.segments)
