@@ -58,6 +58,8 @@ def _highs(what, c, **constraints):
     global linprog
     if linprog is None:
         from scipy.optimize import linprog
+    if not np.isfinite(c).all():  # linprog would refuse it with a ValueError
+        raise RuntimeError(f"{what} failed: its objective overflows (an m2/m1 ratio is too large)")
     res = linprog(c, **constraints, method="highs", options=HIGHS_OPTIONS)
     if not res.success:
         raise RuntimeError(f"{what} failed: {res.message}")

@@ -72,10 +72,15 @@ def _segment(g, times, omega_rows, kappa_rows):
     )
 
 
-def _row_totals(w):
-    # a running sum rounds like adding a sample's weights one by one in edge
-    # order, unlike numpy's pairwise row sums
-    return np.cumsum(w, axis=1)[:, -1]
+def _normalized(w):
+    # rows over running sums, which round like adding the weights in edge order
+    # (not numpy's pairwise sums); a row whose sum overflows is scaled by 2^-k
+    with np.errstate(over="ignore"):
+        totals = np.cumsum(w, axis=1)[:, -1:]
+    if np.isinf(totals).any():
+        w = np.where(np.isinf(totals), np.ldexp(w, -w.shape[1].bit_length()), w)
+        totals = np.cumsum(w, axis=1)[:, -1:]
+    return w / totals
 
 
 def _forman_shape(g, omega0, times):
@@ -110,11 +115,7 @@ def forman_flow_exact(g, omega0, times):
     with np.errstate(all="ignore"):  # a nonfinite result is raised just below
         w = shape * np.exp(lambda_max * tarr)[:, None]
         kappa = forman_kappa(f, w)
-    ok = ((w >= TINY) & (w < np.inf) & np.isfinite(kappa)).all(axis=1)
-    if not ok.all():
-        raise ConvergenceFailure(
-            f"Forman flow leaves the floating-point range at t={tarr[ok.argmin()]:g}"
-        )
+    _require_in_range("Forman", tarr, w, kappa)
     return FlowTrajectory(segments=[_segment(g, tarr, w, kappa)])
 
 
@@ -160,11 +161,12 @@ def _rk4_step(kappa_fn, w, h):
     return out
 
 
-def _require_in_range(t, values, low=-np.inf):
-    # ConvergenceFailure naming t unless every value is finite and >= low
-    if not (np.isfinite(values) & (values >= low)).all():
+def _require_in_range(kind, times, w, kappa=0.0):
+    # ConvergenceFailure at the first time whose w leaves [TINY, inf) or kappa is not finite
+    ok = np.atleast_1d(((w >= TINY) & (w < np.inf) & np.isfinite(kappa)).all(axis=-1))
+    if not ok.all():
         raise ConvergenceFailure(
-            f"Lin-Lu-Yau flow leaves the floating-point range at t={t:g}"
+            f"{kind} flow leaves the floating-point range at t={times[ok.argmin()]:g}"
         )
 
 
@@ -203,7 +205,7 @@ def lly_flow_integrate(g, omega0, t_end, dt, surgery=True):
     graph = g
     kappa_fn = _lly_kappa_fn(graph)
     w = omega0.vector(graph)
-    _require_in_range(0.0, w, TINY)
+    _require_in_range("Lin-Lu-Yau", [0.0], w)
 
     surgeries = []
     rows = [(graph, [], [], [])]  # (graph, times, omega rows, kappa rows)
@@ -224,7 +226,7 @@ def lly_flow_integrate(g, omega0, t_end, dt, surgery=True):
         if sample:
             with np.errstate(over="ignore", invalid="ignore"):  # raised just below
                 kappa = kappa_fn(w)
-            _require_in_range(t, kappa)
+            _require_in_range("Lin-Lu-Yau", [t], w, kappa)
             _, times, omega_rows, kappa_rows = rows[-1]
             times.append(t)
             omega_rows.append(w)
@@ -234,7 +236,7 @@ def lly_flow_integrate(g, omega0, t_end, dt, surgery=True):
         h = min(dt, t_end - t)
         w = _advance(kappa_fn, w, h)
         t += h
-        _require_in_range(t, w, TINY)
+        _require_in_range("Lin-Lu-Yau", [t], w)
         step_no += 1
         keep_every = 1 if graph.n_edges <= SAMPLE_EVERY_THRESHOLD else 10
         sample = step_no % keep_every == 0 or t >= t_end - 1e-12
@@ -243,7 +245,7 @@ def lly_flow_integrate(g, omega0, t_end, dt, surgery=True):
 def normalized_trajectory(traj):
     """Rescale every sample so its weights sum to 1; curvature is unchanged."""
     segments = [
-        (g, times, omega / _row_totals(omega)[:, None], kappa)
+        (g, times, _normalized(omega), kappa)
         for g, times, omega, kappa in traj.segments
     ]
     return FlowTrajectory(segments, list(traj.surgeries))
@@ -276,8 +278,7 @@ def _trajectory_csv_chunks(traj):
         for start in range(0, len(times), CSV_BLOCK_SAMPLES):
             block = slice(start, start + CSV_BLOCK_SAMPLES)
             w = omega[block]
-            scaled = w / _row_totals(w)[:, None]
-            values = np.stack([w, scaled, kappa[block]], axis=2)[:, cols]
+            values = np.stack([w, _normalized(w), kappa[block]], axis=2)[:, cols]
             # Python floats format faster than numpy scalars
             template = "".join(
                 [(FLOAT_FMT % t).join(rows) for t in times[block].tolist()]

@@ -129,13 +129,6 @@ class MeasuredGraph:
         return np.array([(vid[u], vid[v]) for u, v in self.edges], dtype=np.intp)
 
     @cached_property
-    def incidence(self):
-        """(n_vertices, n_edges) 0/1 matrix: entry [x, i] is 1 iff x ends e_i."""
-        inc = np.zeros((self.n_vertices, self.n_edges))
-        inc[self.ends, np.arange(self.n_edges)[:, None]] = 1.0
-        return inc
-
-    @cached_property
     def adjacency(self):
         """Map vertex -> list of (neighbor, edge index)."""
         adj = {x: [] for x in self.vertices}

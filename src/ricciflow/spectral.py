@@ -94,17 +94,17 @@ def build_flow_matrix(g):
     """Assemble F, sqrt(m2) and the averaged-symmetric Ftilde for g.
 
     F[i, j] = m2(e_j) / m1(x) for edges e_i != e_j meeting at x, and
-    F[i, i] = -(m2/m1(u) + m2/m1(v)) for e_i = (u, v).  ConvergenceFailure
-    if an entry of F or Ftilde overflows, so no command reads an inf.
+    F[i, i] = -(m2/m1(u) + m2/m1(v)) for e_i = (u, v): B^T (B m2 / m1) with
+    its diagonal negated, B the 0/1 vertex-edge incidence, exact as a simple
+    graph's edges share at most one vertex.  ConvergenceFailure if an entry
+    of F or Ftilde overflows, so no command reads an inf.
     """
-    n, m1, m2, inc = g.n_edges, g.m1, g.m2, g.incidence
-    # m1 of the vertex e_i and e_j share; a simple graph's edges share at most one
-    shared = inc.T @ (inc * m1[:, None])
-    np.fill_diagonal(shared, 0.0)
-    with np.errstate(over="ignore"):  # an overflow is raised just below
-        f = np.divide(m2[None, :], shared, out=np.zeros((n, n)), where=shared > 0.0)
-        u, v = g.ends.T
-        f[np.diag_indices(n)] = -(m2 / m1[u] + m2 / m1[v])
+    n, m2 = g.n_edges, g.m2
+    b = np.zeros((g.n_vertices, n))
+    b[g.ends, np.arange(n)[:, None]] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised just below
+        f = b.T @ (b * m2 / g.m1[:, None])
+        f[np.diag_indices(n)] *= -1.0
         sqrt_m2 = np.sqrt(m2)
         ftilde = sqrt_m2[:, None] * f * (1.0 / sqrt_m2)[None, :]
         ftilde = 0.5 * (ftilde + ftilde.T)  # kill rounding asymmetry

@@ -103,6 +103,18 @@ class TestCurvatureCommand:
         for row in rows:
             assert [row["forman"], row["lly"], row["lly_limit_estimate"]] == ["-62"] * 3
 
+    @pytest.mark.parametrize("kind", ["forman", "lly"])
+    def test_flow_weights_summing_past_float_max(self, tmp_path, kind):
+        # each sample's total overflows unless its row is scaled first
+        argv = ["flow", "--named", "star:3", "--kind", kind, "--omega0", "7e307,7e307,7e307"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning on stderr either
+            code = main([*argv, "--t-end", "0.02", "--dt", "0.01", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        _, rows = read_csv_rows(tmp_path / "flow_star3.csv")
+        assert len(rows) == 9
+        assert {row["omega_normalized"] for row in rows} == {"0.333333333333"}
+
     def test_cycle_at_float_max(self, tmp_path):
         # paths of two such edges overflow: the distances read them as inf and
         # the transport estimate works on the unit-scaled metric
@@ -708,6 +720,26 @@ class TestNonFiniteInput:
 EDGELESS_GRAPH = "graph 1 0\nvertex a 1\n"
 # finite inputs whose m2/m1 = 1e600 overflows the flow matrix
 OVERFLOW_GRAPH = "graph 2 1\nvertex a 1e-300\nvertex b 1e-300\nedge a b 1e300\n"
+# a 4-cycle whose m2/m1(a) = 1e308 overflows the symmetrized flow matrix and
+# the objective of the Lin-Lu-Yau LP of edge a-b; the Lin-Lu-Yau flow never
+# builds the flow matrix on a non-tree
+LP_OVERFLOW_GRAPH = (
+    "graph 4 4\nvertex a 1e-308\nvertex b 1\nvertex c 1\nvertex d 1\n"
+    "edge a b 1 1\nedge b c 1 1\nedge c d 1 1\nedge d a 1 0.5\n"
+)
+
+
+def overflow_cases(graph, kappa):
+    """(graph, argv) of every command on graph, ``kappa`` the inverse target."""
+    commands = [
+        ["classify"],
+        ["spectrum"],
+        ["inverse", "--kappa", kappa],
+        ["flow", "--kind", "forman"],
+        ["flow", "--kind", "lly"],
+        ["curvature"],
+    ]
+    return [(graph, argv) for argv in commands]
 
 
 class TestDegenerateGraphFile:
@@ -739,19 +771,14 @@ class TestDegenerateGraphFile:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "argv",
-        [
-            ["classify"],
-            ["spectrum"],
-            ["inverse", "--kappa", "0"],
-            ["flow", "--kind", "forman"],
-            ["flow", "--kind", "lly"],
-            ["curvature"],
-        ],
+        "graph, argv",
+        overflow_cases(OVERFLOW_GRAPH, "0") + overflow_cases(LP_OVERFLOW_GRAPH, "0,0,0,0"),
+        ids=[f"{prefix}argv{i}" for prefix in ("", "lp_") for i in range(6)],
     )
-    def test_overflowing_flow_matrix_is_numerical_error(self, tmp_path, capsys, argv):
-        # these used to exit 0 writing NaN, Infinity or nan
-        assert self._run(tmp_path, OVERFLOW_GRAPH, argv) == EXIT_NUMERICAL
+    def test_overflowing_flow_matrix_is_numerical_error(self, tmp_path, capsys, graph, argv):
+        # these used to exit 0 writing NaN, Infinity or nan, or (a Lin-Lu-Yau
+        # LP objective) exit 1 with linprog's ValueError
+        assert self._run(tmp_path, graph, argv) == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert "overflow" in err
         assert "Traceback" not in err

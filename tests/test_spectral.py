@@ -42,6 +42,29 @@ from conftest import (
 )
 
 
+def formula_flow_matrix(g):
+    """F entry by entry, as ``build_flow_matrix`` states it: m2(e_j) / m1(x)
+    for edges meeting at x, -(m2/m1(u) + m2/m1(v)) on the diagonal."""
+    m1 = dict(zip(g.vertices, g.m1.tolist()))
+    m2 = g.m2.tolist()
+    f = np.zeros((g.n_edges, g.n_edges))
+    for i, (u, v) in enumerate(g.edges):
+        for j, e in enumerate(g.edges):
+            shared = {u, v} & set(e)
+            if i == j:
+                f[i, j] = -(m2[i] / m1[u] + m2[i] / m1[v])
+            elif shared:
+                (x,) = shared
+                f[i, j] = m2[j] / m1[x]
+    return f
+
+
+def lognormal_measures(rng, g, sigma):
+    m1 = np.exp(rng.normal(0.0, sigma, g.n_vertices))
+    m2 = np.exp(rng.normal(0.0, sigma, g.n_edges))
+    return MeasuredGraph(g.vertices, g.edges, m1, m2)
+
+
 class TestFlowMatrix:
     def test_uniform_p3(self):
         g = build_named_graph("path", 2)
@@ -75,15 +98,28 @@ class TestFlowMatrix:
         b = line_graph_adjacency(g)
         off = fm.F - np.diag(np.diag(fm.F))
         assert np.all((off > 0) == (b > 0))
-        m2 = g.m2.tolist()
-        for i, (u, v) in enumerate(g.edges):
-            assert fm.F[i, i] == -(m2[i] / g.m1[u] + m2[i] / g.m1[v])
-            for j, (a, c) in enumerate(g.edges):
-                if j != i:
-                    shared = [x for x in (u, v) if x in (a, c)]
-                    expected = m2[j] / g.m1[shared[0]] if shared else 0.0
-                    assert fm.F[i, j] == expected
-        assert np.array_equal(fm.sqrt_m2, np.sqrt(m2))
+        assert np.array_equal(fm.F, formula_flow_matrix(g))
+        assert np.array_equal(fm.sqrt_m2, np.sqrt(g.m2))
+
+    @pytest.mark.parametrize("sigma", [None, 3.0], ids=["uniform", "lognormal3"])
+    def test_random_graph_entries_match_formula(self, sigma):
+        # one incidence product must give every entry bit for bit
+        rng = np.random.default_rng(27)
+        for _ in range(100):
+            n = int(rng.integers(2, 41))
+            g = random_connected_graph(rng, n, int(rng.integers(0, n)) if n > 2 else 0)
+            if sigma is not None:
+                g = lognormal_measures(rng, g, sigma)
+            assert np.array_equal(build_flow_matrix(g).F, formula_flow_matrix(g))
+
+    @pytest.mark.parametrize(
+        "family, n", [("path", 30), ("star", 12), ("cycle", 9), ("complete", 7)]
+    )
+    def test_named_graph_entries_match_formula(self, family, n):
+        g = build_named_graph(family, n)
+        assert np.array_equal(build_flow_matrix(g).F, formula_flow_matrix(g))
+        g = lognormal_measures(np.random.default_rng(n), g, 3.0)
+        assert np.array_equal(build_flow_matrix(g).F, formula_flow_matrix(g))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_uniform_tree_is_line_graph_shift(self, seed):
