@@ -10,7 +10,6 @@ from .graph import (
     apply_surgery,
     build_named_graph,
     deg_measure,
-    distance_matrix,
     edge_id,
     is_tree,
     load_graph,
@@ -51,7 +50,6 @@ from .flow import (
     StepSizeTooLarge,
     forman_flow_exact,
     lly_flow_integrate,
-    normalized_flow_state,
     normalized_trajectory,
     write_surgery_csv,
     write_trajectory_csv,

@@ -119,17 +119,6 @@ def forman_flow_exact(g, omega0, times):
     return FlowTrajectory(segments=[_segment(g, tarr, w, kappa)])
 
 
-def normalized_flow_state(g, omega0, t):
-    """Normalized metric at time t: the Forman flow's shape over its sum.
-
-    The shape is the same evaluation ``forman_flow_exact`` scales by
-    exp(lambda_max t); it never grows, so arbitrarily large horizons are
-    safe even for divergent flows, and at t = 0 it is omega0.
-    """
-    _, (shape,), _ = _forman_shape(g, omega0, np.array([float(t)]))
-    return MetricAssignment.from_vector(g, shape / np.sum(shape))
-
-
 def _lly_kappa_fn(g):
     # On a tree the Lin-Lu-Yau curvature equals the Forman closed form,
     # so stage evaluations reduce to a matrix product.

@@ -5,8 +5,8 @@ array in ``vertices`` order, and its edge measure m2, like the metric omega
 and every per-edge value in the package, an array in ``edges`` order.
 An edge is the ordered pair (u, v) it was given as; ``position`` finds it
 from either end and ``edge_id`` is its one text form.  Distances are
-shortest omega-weighted path lengths, all read from one matrix
-(``distance_matrix``).  An edge e = (x, y) is strict while
+shortest omega-weighted path lengths, all read from the one Floyd-Warshall
+matrix of ``_path_lengths``.  An edge e = (x, y) is strict while
 omega(e) (1 + SURGERY_TOL) < d_alt, with d_alt the shortest x-y path
 avoiding e: like curvature, the rule is scale-free.  ``_unit_detours``,
 the one test of it, reads omega at unit scale, divided exactly by the power
@@ -276,16 +276,9 @@ def _unit_scale(x):
     return scaled, k
 
 
-def distance_matrix(g, omega):
-    """All-pairs shortest omega-path lengths (Floyd-Warshall).
-
-    Rows and columns follow ``g.vertices``; unreachable pairs are math.inf.
-    """
-    return _path_lengths(g, omega.vector(g))
-
-
 def _path_lengths(g, w):
-    # distance_matrix of the weights w in edge order; an inf weight is no edge
+    # all-pairs shortest path lengths (Floyd-Warshall) of the weights w in edge
+    # order, rows and columns in vertex order; an inf weight is no edge
     a, b = g.ends.T
     d = np.full((g.n_vertices, g.n_vertices), math.inf)
     np.fill_diagonal(d, 0.0)
@@ -297,11 +290,11 @@ def _path_lengths(g, w):
 
 
 def shortest_distance(g, omega, u, v):
-    """One entry of ``distance_matrix``; math.inf if unreachable."""
+    """Shortest omega-path length from u to v; math.inf if unreachable."""
     g.check_vertex(u)
     g.check_vertex(v)
     vid = g.vertex_index
-    return float(distance_matrix(g, omega)[vid[u], vid[v]])
+    return float(_path_lengths(g, omega.vector(g))[vid[u], vid[v]])
 
 
 def is_tree(g):

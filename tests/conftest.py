@@ -131,6 +131,28 @@ def trajectory_samples(traj):
     return [sample for _, *segment in traj.segments for sample in zip(*segment)]
 
 
+def distance_matrix(g, omega):
+    """All-pairs shortest omega-path lengths, rows and columns in ``g.vertices``
+    order and math.inf where unreachable: the package's one Floyd-Warshall,
+    ``ricciflow.graph._path_lengths``, read through a MetricAssignment."""
+    from ricciflow.graph import _path_lengths
+
+    return _path_lengths(g, omega.vector(g))
+
+
+def normalized_flow_state(g, omega0, t):
+    """Normalized metric at time t: the Forman flow's shape over its sum.
+
+    The shape is the evaluation ``forman_flow_exact`` scales by
+    exp(lambda_max t); it never grows, so arbitrarily large horizons are
+    safe even for divergent flows, and at t = 0 it is omega0.
+    """
+    from ricciflow.flow import _forman_shape
+
+    _, (shape,), _ = _forman_shape(g, omega0, np.array([float(t)]))
+    return MetricAssignment.from_vector(g, shape / np.sum(shape))
+
+
 def line_graph_adjacency(g):
     """Dense 0/1 adjacency matrix B of the line graph of g.
 
@@ -218,7 +240,7 @@ def reference_lly_limit_estimate(g, omega, e, eps=None):
     two kernels and its own distance matrix: the per-edge form that
     ``ricciflow.curvature.lly_limit_estimate`` computes for every edge at once."""
     from ricciflow.curvature import default_epsilon, kernel, wasserstein
-    from ricciflow.graph import _unit_scale, distance_matrix
+    from ricciflow.graph import _unit_scale
 
     x, y = e
     if eps is None:

@@ -30,7 +30,6 @@ from ricciflow import (
     lly_edge,
     lly_flow_integrate,
     lly_limit_estimate,
-    normalized_flow_state,
     surgery_scan,
 )
 from ricciflow.spectral import BIG_DEGREE_CASE, K13_CASE, PATH_CASE
@@ -38,6 +37,7 @@ from ricciflow.cli import figure2_graph, figure2_initial_metric
 from conftest import (
     build_measured,
     line_graph_adjacency,
+    normalized_flow_state,
     random_connected_graph,
     random_metric,
     random_tree,

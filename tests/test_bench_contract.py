@@ -14,9 +14,9 @@ import pytest
 import scipy.optimize
 
 import ricciflow.curvature
-from ricciflow import MetricAssignment, build_named_graph, distance_matrix, kernel
+from ricciflow import MetricAssignment, build_named_graph, kernel
 from ricciflow.cli import EXIT_OK, main
-from conftest import count_linprog
+from conftest import count_linprog, distance_matrix
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 

@@ -361,6 +361,20 @@ class TestClassifyCommand:
         payload = json.loads((tmp_path / "classify_path5.json").read_text())
         assert payload["classification"] == "constant_metric"
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["--named", "cycle:5"], "cycle5"),
+            (["--named", "path:3", "--measure", "normalized", "--m2", "1,2,3"], "path3"),
+        ],
+        ids=["not_a_tree", "not_uniform"],
+    )
+    def test_no_tree_case_off_uniform_trees(self, tmp_path, argv, name):
+        assert main(["classify", *argv, "--out", str(tmp_path)]) == EXIT_OK
+        payload = json.loads((tmp_path / f"classify_{name}.json").read_text())
+        assert "tree_case" not in payload
+        assert "classification" in payload
+
     def test_flag_beats_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RICCI_TOL_ZERO", "1.0")
         assert main(
@@ -714,6 +728,111 @@ class TestNonFiniteInput:
         out = tmp_path / "out"
         assert main(["classify", "--input", str(graph), "--out", str(out)]) == EXIT_INPUT
         assert os.listdir(out) == []
+
+
+def graph_file(*lines):
+    return "\n".join(lines) + "\n"
+
+
+# (argv, graph file text or None, error text) of commands that fail on their input
+INPUT_ERROR_CASES = {
+    "named_count_not_int": (["curvature", "--named", "path:x"], None, "bad --named spec"),
+    "named_star0": (["spectrum", "--named", "star:0"], None, "star needs at least 1 edge"),
+    "named_complete2": (
+        ["classify", "--named", "complete:2"],
+        None,
+        "complete graph needs at least 3 vertices",
+    ),
+    "named_unknown_family": (["flow", "--named", "tree:3"], None, "unknown graph family"),
+    "m2_in_uniform_mode": (
+        ["spectrum", "--named", "path:2", "--m2", "1,1"],
+        None,
+        "uniform mode takes no m2 values",
+    ),
+    "m2_with_input": (
+        ["classify", "--m2", "1"],
+        graph_file("graph 2 1", "vertex a 1", "vertex b 1", "edge a b 1"),
+        "--m2 only applies to --named graphs",
+    ),
+    "omega0_count": (
+        ["flow", "--named", "path:3", "--omega0", "1,2"],
+        None,
+        "--omega0 needs 3 values, got 2",
+    ),
+    "omega0_not_a_number": (
+        ["curvature", "--named", "path:3", "--omega0", "1,abc,2"],
+        None,
+        "bad --omega0 value",
+    ),
+    "t_end_negative": (
+        ["flow", "--named", "path:2", "--t-end", "-1"],
+        None,
+        "--t-end must be nonnegative",
+    ),
+    "duplicate_vertex": (
+        ["spectrum"],
+        graph_file("graph 2 1", "vertex a 1", "vertex a 1", "edge a b 1"),
+        "duplicate vertex ids",
+    ),
+    "unknown_vertex": (
+        ["curvature"],
+        graph_file("graph 2 1", "vertex a 1", "vertex b 1", "edge a c 1"),
+        "references unknown vertex",
+    ),
+    "header_count_not_int": (
+        ["classify"],
+        graph_file("graph x 1", "vertex a 1", "vertex b 1", "edge a b 1"),
+        "bad header counts",
+    ),
+    "vertex_line_short": (
+        ["flow"],
+        graph_file("graph 2 1", "vertex a", "vertex b 1", "edge a b 1"),
+        "bad vertex line",
+    ),
+    "edge_line_short": (
+        ["inverse", "--kappa", "0"],
+        graph_file("graph 2 1", "vertex a 1", "vertex b 1", "edge a b"),
+        "bad edge line",
+    ),
+    "unknown_keyword": (
+        ["curvature"],
+        graph_file("graph 2 1", "vertex a 1", "node b 1", "edge a b 1"),
+        "unexpected line",
+    ),
+    "header_edge_count": (
+        ["spectrum"],
+        graph_file("graph 2 2", "vertex a 1", "vertex b 1", "edge a b 1"),
+        "header says 2 edges, found 1",
+    ),
+    "omega0_on_some_edges": (
+        ["flow", "--kind", "lly"],
+        graph_file(
+            "graph 3 2", "vertex a 1", "vertex b 1", "vertex c 1", "edge a b 1 1", "edge b c 1"
+        ),
+        "omega0 given for some edges but not all",
+    ),
+    "measure_not_a_number": (
+        ["classify"],
+        graph_file("graph 2 1", "vertex a 1", "vertex b one", "edge a b 1"),
+        "bad vertex measure",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_ERROR_CASES))
+def test_input_error_is_one_line_and_writes_nothing(tmp_path, capsys, case):
+    argv, text, message = INPUT_ERROR_CASES[case]
+    if text is not None:
+        graph = tmp_path / "g.graph"
+        graph.write_text(text)
+        argv = argv + ["--input", str(graph)]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert os.listdir(out) == []
 
 
 # one vertex, no edge: no curvature is defined

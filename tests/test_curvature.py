@@ -15,7 +15,6 @@ from ricciflow import (
     build_named_graph,
     deg_measure,
     default_epsilon,
-    distance_matrix,
     forman_edge,
     forman_vector,
     is_tree,
@@ -27,6 +26,7 @@ from ricciflow import (
 )
 from conftest import (
     count_linprog,
+    distance_matrix,
     draw_chorded_tree,
     draw_measured_metric,
     random_connected_graph,

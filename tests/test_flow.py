@@ -18,7 +18,6 @@ from ricciflow import (
     build_named_graph,
     forman_flow_exact,
     lly_flow_integrate,
-    normalized_flow_state,
     normalized_trajectory,
     write_surgery_csv,
     write_trajectory_csv,
@@ -31,6 +30,7 @@ from conftest import (
     count_linprog,
     curvature_residual,
     expm_oracle,
+    normalized_flow_state,
     random_connected_graph,
     random_metric,
     random_tree,
@@ -235,6 +235,14 @@ class TestLLYIntegration:
         w0 = MetricAssignment.uniform(g)
         with pytest.raises(StepSizeTooLarge):
             lly_flow_integrate(g, w0, 1e9, 1e9)
+
+    def test_rk4_step_rejects_a_nonpositive_step_of_positive_stages(self):
+        # zero slopes keep every stage state at w; the last slope alone
+        # takes the combined step w - h * 1e3 / 6 below zero
+        kappas = iter([0.0, 0.0, 0.0, 1e3])
+        step = ricciflow.flow._rk4_step(lambda state: next(kappas), np.array([1.0]), 1.0)
+        assert step is None
+        assert next(kappas, None) is None
 
     def test_total_weight_identity(self):
         # d/dt sum(omega) = -sum(kappa * omega) along the flow

@@ -15,7 +15,6 @@ from ricciflow import (
     apply_surgery,
     build_named_graph,
     deg_measure,
-    distance_matrix,
     is_tree,
     load_graph,
     parse_graph_text,
@@ -24,6 +23,7 @@ from ricciflow import (
 )
 from ricciflow.graph import SURGERY_TOL
 from conftest import (
+    distance_matrix,
     line_graph_adjacency,
     random_connected_graph,
     random_metric,
@@ -83,6 +83,16 @@ class TestConstruction:
     def test_wrong_m2_count(self):
         with pytest.raises(GraphError):
             build_named_graph("star", 3, "normalized_deg1", m2_values=[1.0])
+
+    def test_unknown_measure_mode(self):
+        with pytest.raises(GraphError, match="unknown measure mode 'bogus'"):
+            build_named_graph("path", 2, measure_mode="bogus")
+
+    def test_position_of_a_non_edge(self):
+        g = build_named_graph("path", 2)
+        assert g.position(2, 1) == 1
+        with pytest.raises(GraphError, match=r"\(0, 2\) is not an edge"):
+            g.position(0, 2)
 
     def test_rejects_loop_and_parallel(self):
         with pytest.raises(GraphError):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 import ricciflow.spectral
 from ricciflow import (
     ConvergenceFailure,
+    FlowMatrix,
     GraphError,
     MeasuredGraph,
     NotATree,
@@ -28,6 +29,7 @@ from ricciflow.spectral import (
     CONSTANT_METRIC,
     DIVERGENT,
     EIGEN_GAP_TOL,
+    EigenvalueGapTooSmall,
     K13_CASE,
     PATH_CASE,
     VANISHING,
@@ -177,6 +179,17 @@ class TestEigendecompose:
         jacobi_eigh(m)  # converges with the default sweep limit
         with pytest.raises(ConvergenceFailure, match="did not converge in 1 sweeps"):
             jacobi_eigh(m, max_sweeps=1)
+
+    @pytest.mark.parametrize(
+        "diag, message",
+        [([1.0, 1.0], "top eigenvalue gap"), ([1.0, 0.0], "nonpositive entries")],
+        ids=["repeated_top_eigenvalue", "zero_perron_entry"],
+    )
+    def test_rejects_a_matrix_of_no_connected_graph(self, diag, message):
+        ftilde = np.diag(diag)
+        fm = FlowMatrix(F=ftilde, sqrt_m2=np.ones(2), Ftilde=ftilde)
+        with pytest.raises(EigenvalueGapTooSmall, match=message):
+            eigendecompose(fm)
 
 
 def _symmetric_matrices(n, rng):
