@@ -77,9 +77,18 @@ def forman_kappa(f, w):
     per row.  Each row is a column vector to matmul, which makes numpy call
     one gemv per row, so a whole trajectory's rows come out bit for bit as
     one call per sample would give them (``w @ F.T`` would use gemm, which
-    rounds differently).
+    rounds differently).  A row whose products overflow while its weights
+    are finite is evaluated again on the weights scaled exactly by 2^-k,
+    2^k above the edge count, as ``flow._normalized`` scales a sum: kappa
+    is scale-free, and every other row keeps its bits.
     """
-    return (f @ -w[..., None])[..., 0] / w
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows are redone below
+        kappa = (f @ -w[..., None])[..., 0] / w
+    redo = ~np.isfinite(kappa).all(axis=-1) & np.isfinite(w).all(axis=-1)
+    if redo.any():
+        scaled = np.ldexp(w[redo], -w.shape[-1].bit_length())
+        kappa[redo] = (f @ -scaled[..., None])[..., 0] / scaled
+    return kappa
 
 
 def forman_edge(g, omega, e):

@@ -113,53 +113,79 @@ def build_flow_matrix(g):
     return FlowMatrix(F=f, sqrt_m2=sqrt_m2, Ftilde=ftilde)
 
 
-def _jacobi_sweeps(av, tol, max_sweeps):
-    """Cyclic Jacobi rotations in place; returns sweeps used or -1.
+def _round_robin(n):
+    """The round-robin (circle-method) ordering of Brent & Luk's parallel
+    Jacobi, over the pairs p < q < n, as (p, q) index arrays of shape
+    (rounds, pairs): n - 1 rounds of n/2 pairs for even n, n rounds of
+    (n - 1)/2 for odd n.
 
-    ``av`` stacks the symmetric a (first n rows) over v (last n rows), so
-    one column update rotates a's columns and accumulates v together; a's
-    rows follow.  Each update is ``c*x - s*y`` and ``s*x + c*y`` on whole
-    vectors, elementwise: the same floating-point operations as a loop over
-    single entries, so the bits are the same.  The off-diagonal norm is
+    Round r pairs i with (r - i) mod (m - 1), m = n rounded up to even, and
+    pairs the one i that this would pair with itself with m - 1.  Each
+    round's pairs are disjoint, and the rounds cover every pair once; for
+    odd n, m - 1 = n pads, and its pair is dropped.
+    """
+    m = n + n % 2
+    i = np.arange(m - 1)
+    j = (i[:, None] - i) % (m - 1)  # row r, column i: i's partner in round r
+    j[j == i] = m - 1
+    keep = (i < j) & (j < n)
+    return np.broadcast_to(i, j.shape)[keep].reshape(m - 1, -1), j[keep].reshape(m - 1, -1)
+
+
+def _jacobi_sweeps(av, tol, max_sweeps):
+    """Parallel-order Jacobi rotations in place; returns sweeps used or -1.
+
+    ``av`` stacks the symmetric a (first n rows) over v (last n rows).  A
+    sweep walks the rounds of ``_round_robin``.  A round's pairs are
+    disjoint, so every angle is read from the matrix as it stood at the
+    round's start, and the round is one vectorized step: one fancy-indexed
+    update rotates every pair's columns of a and v, then one rotates their
+    rows of a.  Each entry gets ``c*x - s*y`` or ``s*x + c*y``: the same
+    floating-point operations as the entry-at-a-time form that rotates all
+    of a round's columns before any of its rows.  The off-diagonal norm is
     summed in a sequential loop (numpy's pairwise sum rounds differently).
     """
     n = av.shape[1]
     a = av[:n]
     skip_tol = tol / (n * n)
     upper = np.triu_indices(n, 1)
+    diag = a.diagonal()  # a view: it follows the rotations
+    rounds = list(zip(*_round_robin(n)))
     for sweep in range(max_sweeps):
         off = 0.0
         for x in a[upper].tolist():
             off += 2.0 * x * x
         if math.sqrt(off) < tol:
             return sweep
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = float(a[p, q])
-                if abs(apq) <= skip_tol:
-                    continue
-                theta = (float(a[q, q]) - float(a[p, p])) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.sqrt(theta * theta + 1.0)
-                )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                for m in (av, a.T):  # columns of a and v, then rows of a
-                    xp = m[:, p].copy()
-                    xq = m[:, q]
-                    m[:, p] = c * xp - s * xq
-                    m[:, q] = s * xp + c * xq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
+        for p, q in rounds:
+            apq = a[p, q]
+            on = np.abs(apq) > skip_tol
+            if not on.all():
+                p, q, apq = p[on], q[on], apq[on]
+            if not p.size:
+                continue
+            with np.errstate(over="ignore"):  # an overflowing theta gives t = 0
+                theta = (diag[q] - diag[p]) / (2.0 * apq)
+                t = np.copysign(1.0, theta) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
+            c = 1.0 / np.sqrt(t * t + 1.0)
+            s = t * c
+            # x_p -> c x_p + (-s) x_q and x_q -> c x_q + s x_p, the same bits as
+            # c x_p - s x_q and s x_p + c x_q: negation is exact, addition commutes
+            pq, qp = np.concatenate((p, q)), np.concatenate((q, p))
+            cc, ss = np.concatenate((c, c)), np.concatenate((-s, s))
+            for m in (av, a.T):  # columns of a and v, then rows of a
+                m[:, pq] = cc * m[:, pq] + ss * m[:, qp]
+            a[pq, qp] = 0.0  # a[p, q] and a[q, p]
     return -1
 
 
 def jacobi_eigh(a, tol=JACOBI_OFFDIAG_TOL, max_sweeps=JACOBI_MAX_SWEEPS):
-    """Cyclic Jacobi eigendecomposition of a symmetric matrix.
+    """Parallel-order Jacobi eigendecomposition of a symmetric matrix.
 
-    Returns (eigenvalues ascending, eigenvector columns).  Rotations sweep
-    the upper triangle until the off-diagonal Frobenius norm drops below
-    ``tol``.
+    Returns (eigenvalues ascending, eigenvector columns).  Each sweep
+    rotates every pair of the upper triangle once, in the rounds of
+    disjoint pairs of the round-robin ordering, until the off-diagonal
+    Frobenius norm drops below ``tol``.
     """
     a = np.array(a, dtype=float)
     n = a.shape[0]

@@ -253,16 +253,39 @@ def reference_lly_limit_estimate(g, omega, e, eps=None):
     return (1.0 - wasserstein(d, mu, nu) / float(d[vid[x], vid[y]])) / eps
 
 
+def reference_round_robin(n):
+    """The rounds of Brent & Luk's round-robin ordering as lists of (p, q)
+    pairs, built one pair at a time: round r pairs i with (r - i) mod (m - 1)
+    for m = n rounded up to even, or with m - 1 when that is i itself; for
+    odd n, index n pads and its pair is dropped."""
+    m = n + n % 2
+    rounds = []
+    for r in range(m - 1):
+        pairs = []
+        for i in range(m - 1):
+            j = (r - i) % (m - 1)
+            if j == i:
+                j = m - 1
+            if i < j < n:
+                pairs.append((i, j))
+        rounds.append(pairs)
+    return rounds
+
+
 def reference_jacobi_sweeps(av, tol, max_sweeps):
-    """Cyclic Jacobi rotations in place, one matrix entry at a time.
+    """Parallel-order Jacobi rotations in place, one matrix entry at a time.
 
     The scalar form of ``ricciflow.spectral._jacobi_sweeps``, with the
-    same arguments (a stacked over v) and result; the entries are worked on
-    as Python floats, which round exactly as numpy float64 scalars do.
+    same arguments (a stacked over v) and result, on its own copy of the
+    round-robin pairing: each round takes every angle from the matrix as it
+    stood at the round's start, rotates every pair's columns of a and v,
+    then every pair's rows of a.  The entries are worked on as Python
+    floats, which round exactly as numpy float64 scalars do.
     """
     n = av.shape[1]
     skip_tol = tol / (n * n)
     am, vm = av[:n].tolist(), av[n:].tolist()
+    rounds = reference_round_robin(n)
     sweeps = -1
     for sweep in range(max_sweeps):
         off = 0.0
@@ -272,8 +295,9 @@ def reference_jacobi_sweeps(av, tol, max_sweeps):
         if math.sqrt(off) < tol:
             sweeps = sweep
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
+        for pairs in rounds:
+            rotations = []
+            for p, q in pairs:
                 apq = am[p][q]
                 if abs(apq) <= skip_tol:
                     continue
@@ -282,24 +306,23 @@ def reference_jacobi_sweeps(av, tol, max_sweeps):
                     abs(theta) + math.sqrt(theta * theta + 1.0)
                 )
                 c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                for i in range(n):
-                    aip = am[i][p]
-                    aiq = am[i][q]
-                    am[i][p] = c * aip - s * aiq
-                    am[i][q] = s * aip + c * aiq
+                rotations.append((p, q, c, t * c))
+            for p, q, c, s in rotations:
+                for rows in (am, vm):
+                    for i in range(n):
+                        xip = rows[i][p]
+                        xiq = rows[i][q]
+                        rows[i][p] = c * xip - s * xiq
+                        rows[i][q] = s * xip + c * xiq
+            for p, q, c, s in rotations:
                 for i in range(n):
                     api = am[p][i]
                     aqi = am[q][i]
                     am[p][i] = c * api - s * aqi
                     am[q][i] = s * api + c * aqi
+            for p, q, _, _ in rotations:
                 am[p][q] = 0.0
                 am[q][p] = 0.0
-                for i in range(n):
-                    vip = vm[i][p]
-                    viq = vm[i][q]
-                    vm[i][p] = c * vip - s * viq
-                    vm[i][q] = s * vip + c * viq
     av[:n] = am
     av[n:] = vm
     return sweeps

@@ -115,6 +115,21 @@ class TestCurvatureCommand:
         assert len(rows) == 9
         assert {row["omega_normalized"] for row in rows} == {"0.333333333333"}
 
+    def test_forman_flow_at_float_max(self, tmp_path):
+        # F omega overflows at 1e308 (the middle edge's -2 omega), so those
+        # rows are evaluated again on weights scaled by a power of two
+        kappas = []
+        for x in ("1", "1e308"):
+            argv = ["flow", "--named", "path:3", "--kind", "forman", "--omega0", ",".join([x] * 3)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no numpy warning on stderr either
+                code = main([*argv, "--t-end", "0.002", "--dt", "0.001", "--out", str(tmp_path / x)])
+            assert code == EXIT_OK
+            _, rows = read_csv_rows(tmp_path / x / "flow_path3.csv")
+            kappas.append([row["kappa"] for row in rows])
+        assert kappas[1] == kappas[0]
+        assert kappas[1][:3] == ["1", "0", "1"]
+
     def test_cycle_at_float_max(self, tmp_path):
         # paths of two such edges overflow: the distances read them as inf and
         # the transport estimate works on the unit-scaled metric
@@ -498,7 +513,8 @@ class TestFlowCommand:
         [
             (["--named", "star:6", "--t-end", "300"], "235.7", 2357),
             (["--named", "star:65", "--t-end", "20"], "14.6", 146),
-            (["--named", "star:65", "--omega0", ",".join(["1e307"] * 65)], "0", 0),
+            # kappa = -62 at t=0, but the first step's kappa * omega overflows
+            (["--named", "star:65", "--omega0", ",".join(["1e307"] * 65)], "0.1", 1),
         ],
         ids=["star6_overflow", "star65_overflow_between_samples", "star65_kappa_overflow"],
     )
@@ -1104,7 +1120,7 @@ PINNED_OUTPUTS = [
         "curvature_cycle5.csv": "4fd5bf9a6ce6f2f5ebde623cd7020d583ba47107de26accb42a78494f1308887",
     }),
     (["spectrum", "--named", "complete:6"], {
-        "spectrum_complete6.json": "be48b2f049894a4cc40cfea51874174a003ada6267a02bdcd58e51426a087ec1",
+        "spectrum_complete6.json": "41d826e97df5d833fd29845c206f3b06053508ddfb92b6f9c0600678c61f5f28",
     }),
     (["inverse", "--named", "star:3", "--kappa", "0,0,0"], {
         "inverse_star3.json": "84ec91342a85381633ee6327be43ea1c414d4d701063420d89d6fd91bd2d7dba",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ricciflow.spectral
 from ricciflow import (
@@ -33,6 +34,7 @@ from ricciflow.spectral import (
     K13_CASE,
     PATH_CASE,
     VANISHING,
+    _round_robin,
 )
 from conftest import (
     line_graph_adjacency,
@@ -238,6 +240,47 @@ class TestJacobiMatchesScalarLoops:
     def test_flow_matrices(self, monkeypatch):
         for m in _flow_matrices():
             self._assert_identical(monkeypatch, m)
+
+    def test_overflowing_angle(self, monkeypatch):
+        # theta = 1e300 / 2e-12 overflows, so t = 0: no warning, no rotation
+        m = np.array([[0.0, 1e-12], [1e-12, 1e300]])
+        self._assert_identical(monkeypatch, m)
+        w, v = jacobi_eigh(m)
+        assert w.tolist() == [0.0, 1e300] and np.array_equal(v, np.eye(2))
+
+
+def test_round_robin_rounds_cover_every_pair_once():
+    for n in range(1, 62):
+        p, q = _round_robin(n)
+        assert p.shape == q.shape == (n - 1 + n % 2, n // 2)
+        pairs = []
+        for rp, rq in zip(p.tolist(), q.tolist()):
+            assert len(set(rp + rq)) == 2 * len(rp)  # disjoint within a round
+            assert all(0 <= i < j < n for i, j in zip(rp, rq))
+            pairs += zip(rp, rq)
+        assert sorted(pairs) == [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric matrices of order at most 24 with exact zeros among their
+    entries; a block repeated k times on the diagonal and permuted, so for
+    k > 1 every eigenvalue repeats exactly."""
+    k = draw(st.sampled_from([1, 1, 2, 3]))
+    b = draw(st.integers(1, 24 // k))
+    entries = st.lists(st.one_of(st.just(0.0), st.floats(-10.0, 10.0)), min_size=b * b, max_size=b * b)
+    block = np.triu(np.reshape(draw(entries), (b, b)))
+    m = np.kron(np.eye(k), block + np.triu(block, 1).T)
+    perm = draw(st.permutations(range(k * b)))
+    return m[np.ix_(perm, perm)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(symmetric_matrices())
+def test_jacobi_matches_lapack(m):
+    w, v = jacobi_eigh(m)
+    assert np.max(np.abs(w - np.linalg.eigvalsh(m))) <= 1e-10
+    assert np.max(np.abs(v.T @ v - np.eye(len(m)))) <= 1e-12
 
 
 class TestFlowCoefficients:
