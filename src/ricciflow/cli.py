@@ -20,14 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .curvature import (
-    EpsilonTooLarge,
-    default_epsilon,
-    forman_vector,
-    kernel,
-    lly_limit_estimate,
-    lly_vector,
-)
+from .curvature import EpsilonTooLarge, forman_vector, lly_limit_estimate, lly_vector
 from .flow import (
     FLOAT_FMT,
     atomic_write,
@@ -149,27 +142,10 @@ def _resolve_graph(args):
     return g, omega0, name
 
 
-def _tol_zero(args):
-    if args.tol_zero is not None:
-        return _nonnegative_float(args.tol_zero, "--tol-zero")
-    env = os.environ.get("RICCI_TOL_ZERO")
-    if env is None:
-        return DEFAULT_TOL_ZERO
-    return _nonnegative_float(env, "RICCI_TOL_ZERO")
-
-
 def cmd_curvature(args):
     g, omega, name = _resolve_graph(args)
-    eps = default_epsilon(g)
-    if args.epsilon is not None:
-        floor = eps / 100  # below it LP tolerances swamp the kernels' small masses
-        eps = _finite_float(args.epsilon, "--epsilon")
-        for x in g.vertices:
-            kernel(g, x, eps)  # EpsilonTooLarge before any LP is solved
-        if eps < floor:
-            raise InputError(f"--epsilon {eps:g} is below default epsilon / 100 = {floor:g}")
     # in this order, so lly_vector raises DegenerateMetric before any LP is solved
-    columns = (forman_vector(g, omega), lly_vector(g, omega), lly_limit_estimate(g, omega, eps))
+    columns = (forman_vector(g, omega), lly_vector(g, omega), lly_limit_estimate(g, omega))
     lines = ["edge,forman,lly,lly_limit_estimate"]
     for e, row in zip(g.edges, np.stack(columns, axis=1).tolist()):
         lines.append(",".join([edge_id(*e), *(FLOAT_FMT % x for x in row)]))
@@ -230,7 +206,7 @@ def _classify_payload(g, tol_zero):
 def cmd_classify(args):
     g, _, name = _resolve_graph(args)
     out = os.path.join(args.out, f"classify_{name}.json")
-    _write_json(out, _classify_payload(g, _tol_zero(args)))
+    _write_json(out, _classify_payload(g, _nonnegative_float(args.tol_zero, "--tol-zero")))
     print(out)
     return EXIT_OK
 
@@ -250,7 +226,7 @@ def cmd_flow(args):
         times = np.arange(steps + 1) * t_end / steps if t_end > 0 else [0.0]
         traj = forman_flow_exact(g, omega0, times)
     else:
-        traj = lly_flow_integrate(g, omega0, t_end, dt, surgery=args.surgery)
+        traj = lly_flow_integrate(g, omega0, t_end, dt)
     out = os.path.join(args.out, f"flow_{name}.csv")
     write_trajectory_csv(traj, out)
     print(out)
@@ -340,8 +316,7 @@ def build_parser():
     """The one parser of this process, built at its first use.
 
     Parsing fills a fresh namespace and reads no state back into the parser,
-    so calls share it; defaults that depend on the environment, like
-    RICCI_TOL_ZERO, are read by the commands, not stored here.
+    so calls share it.
     """
     parser = argparse.ArgumentParser(
         prog="ricciflow",
@@ -365,7 +340,6 @@ def build_parser():
 
     p = sub.add_parser("curvature", help="per-edge Forman/LLY curvature table")
     add_graph_options(p)
-    p.add_argument("--epsilon", type=float, help="laziness for the transport estimate")
     p.set_defaults(func=cmd_curvature)
 
     p = sub.add_parser("spectrum", help="eigenvalues of the symmetrized flow matrix")
@@ -374,7 +348,9 @@ def build_parser():
 
     p = sub.add_parser("classify", help="long-time convergence report")
     add_graph_options(p)
-    p.add_argument("--tol-zero", type=float, help="tolerance for the zero class")
+    p.add_argument(
+        "--tol-zero", type=float, default=DEFAULT_TOL_ZERO, help="tolerance for the zero class"
+    )
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("flow", help="evolve a curvature flow, export trajectory CSV")
@@ -382,7 +358,6 @@ def build_parser():
     p.add_argument("--kind", choices=("forman", "lly"), default="forman")
     p.add_argument("--t-end", type=float, default=5.0)
     p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--no-surgery", dest="surgery", action="store_false")
     p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("inverse", help="prescribed-curvature problem")
@@ -404,16 +379,16 @@ def main(argv=None):
     try:
         os.makedirs(args.out, exist_ok=True)  # every subcommand has --out
         return args.func(args)
-    except (InputError, GraphError, EpsilonTooLarge) as exc:
-        # EpsilonTooLarge comes only from --epsilon: default_epsilon is valid
+    except (InputError, GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:  # an unusable --out; an unreadable --input is an InputError
         where = exc.filename2 or exc.filename or args.out
         print(f"error: cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (DegenerateMetric, RuntimeError) as exc:
-        # ConvergenceFailure, StepSizeTooLarge and failed LPs are RuntimeErrors
+    except (DegenerateMetric, EpsilonTooLarge, RuntimeError) as exc:
+        # ConvergenceFailure, StepSizeTooLarge and failed LPs are RuntimeErrors;
+        # EpsilonTooLarge means default_epsilon is 0, as a Deg(x) overflows
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

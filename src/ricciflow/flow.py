@@ -175,8 +175,8 @@ def _advance(kappa_fn, w, dt):
     )
 
 
-def lly_flow_integrate(g, omega0, t_end, dt, surgery=True):
-    """Integrate the Lin-Lu-Yau flow with RK4 and optional surgery.
+def lly_flow_integrate(g, omega0, t_end, dt):
+    """Integrate the Lin-Lu-Yau flow with RK4 and surgery.
 
     Each accepted state, t=0 included, is scanned for surgery, then
     sampled if a sample is due, then stepped unless it is at t_end.
@@ -202,16 +202,15 @@ def lly_flow_integrate(g, omega0, t_end, dt, surgery=True):
     step_no = 0
     sample = True
     while True:
-        if surgery:
-            cut_graph, cut, events = apply_surgery(
-                graph, MetricAssignment.from_vector(graph, w), t=t
-            )
-            if events:
-                graph = cut_graph
-                surgeries.extend(events)
-                rows.append((graph, [], [], []))
-                kappa_fn = _lly_kappa_fn(graph)
-                w = cut.vector(graph)
+        cut_graph, cut, events = apply_surgery(
+            graph, MetricAssignment.from_vector(graph, w), t=t
+        )
+        if events:
+            graph = cut_graph
+            surgeries.extend(events)
+            rows.append((graph, [], [], []))
+            kappa_fn = _lly_kappa_fn(graph)
+            w = cut.vector(graph)
         if sample:
             with np.errstate(over="ignore", invalid="ignore"):  # raised just below
                 kappa = kappa_fn(w)

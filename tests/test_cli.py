@@ -11,11 +11,12 @@ import warnings
 import numpy as np
 import pytest
 
+import ricciflow.cli
 import ricciflow.curvature
 import ricciflow.flow
 import ricciflow.graph
 from ricciflow.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, build_parser, main
-from conftest import SMALL_WEIGHT_FLOWS, count_linprog, random_connected_graph
+from conftest import SMALL_WEIGHT_FLOWS, random_connected_graph
 
 
 def read_csv_rows(path):
@@ -51,15 +52,6 @@ class TestCurvatureCommand:
         code = main(["curvature", "--input", str(bad), "--out", str(tmp_path)])
         assert code == EXIT_INPUT
         assert "error" in capsys.readouterr().err
-
-    def test_bad_epsilon_is_found_before_any_lp(self, tmp_path, capsys, monkeypatch):
-        calls = count_linprog(monkeypatch)
-        code = main(
-            ["curvature", "--named", "complete:9", "--epsilon", "1", "--out", str(tmp_path)]
-        )
-        assert code == EXIT_INPUT
-        assert "epsilon" in capsys.readouterr().err
-        assert calls == []
 
     def test_missing_file(self, tmp_path):
         code = main(
@@ -234,27 +226,6 @@ class TestCurvatureCommand:
         assert "vertex id" in capsys.readouterr().err
         assert os.listdir(out) == []
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["--named", "cycle:4", "--epsilon", "1e-7"],
-            ["--named", "complete:4", "--measure", "normalized", "--m2", "1,2,3,4,5,6",
-             "--epsilon", "1e-9"],
-        ],
-        ids=["cycle4", "complete4_normalized"],
-    )
-    def test_epsilon_below_floor_is_found_before_any_lp(
-        self, tmp_path, capsys, monkeypatch, argv
-    ):
-        # far below the default the LP tolerances swamp the kernels' small
-        # masses, and the estimate would be wrong (3.0000000 beside lly 2)
-        calls = count_linprog(monkeypatch)
-        out = tmp_path / "out"
-        assert main(["curvature", *argv, "--out", str(out)]) == EXIT_INPUT
-        assert "below default epsilon / 100" in capsys.readouterr().err
-        assert calls == []
-        assert os.listdir(out) == []
-
     @pytest.mark.parametrize("graph", ["cycle5", "chorded40"])
     def test_two_distance_matrices_per_table(self, tmp_path, monkeypatch, graph):
         # the strictness test before the LLY LPs builds one Floyd-Warshall
@@ -370,12 +341,6 @@ class TestClassifyCommand:
         payload = json.loads((tmp_path / "classify_path5.json").read_text())
         assert payload["classification"] == "constant_metric"
 
-    def test_tol_zero_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("RICCI_TOL_ZERO", "1.0")
-        assert main(["classify", "--named", "path:5", "--out", str(tmp_path)]) == EXIT_OK
-        payload = json.loads((tmp_path / "classify_path5.json").read_text())
-        assert payload["classification"] == "constant_metric"
-
     @pytest.mark.parametrize(
         "argv, name",
         [
@@ -389,22 +354,6 @@ class TestClassifyCommand:
         payload = json.loads((tmp_path / f"classify_{name}.json").read_text())
         assert "tree_case" not in payload
         assert "classification" in payload
-
-    def test_flag_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("RICCI_TOL_ZERO", "1.0")
-        assert main(
-            [
-                "classify",
-                "--named",
-                "path:5",
-                "--tol-zero",
-                "1e-9",
-                "--out",
-                str(tmp_path),
-            ]
-        ) == EXIT_OK
-        payload = json.loads((tmp_path / "classify_path5.json").read_text())
-        assert payload["classification"] == "vanishing"
 
 
 class TestFlowCommand:
@@ -664,9 +613,7 @@ class TestNonFiniteInput:
             (["flow", "--named", "path:2", "--dt", "nan"], {}),
             (["flow", "--named", "path:2", "--t-end", "inf"], {}),
             (["flow", "--named", "cycle:4", "--kind", "lly", "--t-end", "inf", "--dt", "0.5"], {}),
-            (["curvature", "--named", "cycle:4", "--epsilon", "nan"], {}),
             (["classify", "--named", "path:3", "--tol-zero", "nan"], {}),
-            (["classify", "--named", "path:3"], {"RICCI_TOL_ZERO": "nan"}),
             (["inverse", "--named", "star:3", "--kappa", "1,1,1", "--tol", "nan"], {}),
         ],
     )
@@ -693,10 +640,9 @@ class TestNonFiniteInput:
         "argv, env",
         [
             (["classify", "--named", "star:3", "--tol-zero", "-1"], {}),
-            (["classify", "--named", "star:3"], {"RICCI_TOL_ZERO": "-1e-9"}),
             (["inverse", "--named", "star:3", "--kappa", "0,0,0", "--tol", "-1"], {}),
         ],
-        ids=["tol_zero_flag", "tol_zero_env", "inverse_tol"],
+        ids=["tol_zero_flag", "inverse_tol"],
     )
     def test_negative_tolerances_are_input_errors(
         self, tmp_path, capsys, monkeypatch, argv, env
@@ -711,9 +657,6 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize(
         "argv, word",
         [
-            (["curvature", "--named", "cycle:4", "--epsilon", "-1"], "epsilon"),
-            (["curvature", "--named", "cycle:4", "--epsilon", "0"], "epsilon"),
-            (["curvature", "--named", "cycle:4", "--epsilon", "1"], "epsilon"),
             (["flow", "--named", "path:2", "--t-end", "1e300", "--dt", "1e-300"], "steps"),
             (["flow", "--named", "path:2", "--kind", "lly", "--t-end", "1e300", "--dt", "1e-300"], "steps"),
             (["flow", "--named", "cycle:4", "--kind", "lly", "--t-end", "2e6", "--dt", "1"], "steps"),
@@ -862,6 +805,11 @@ LP_OVERFLOW_GRAPH = (
     "graph 4 4\nvertex a 1e-308\nvertex b 1\nvertex c 1\nvertex d 1\n"
     "edge a b 1 1\nedge b c 1 1\nedge c d 1 1\nedge d a 1 0.5\n"
 )
+# a 3-star whose Deg(a) = 3 * 1.8 / 3e-308 overflows, so default_epsilon is 0
+DEG_OVERFLOW_GRAPH = (
+    "graph 4 3\nvertex a 3e-308\nvertex b 1e9\nvertex c 1e9\nvertex d 1e9\n"
+    "edge a b 1.8 1.9\nedge a c 1.8 1.9\nedge a d 1.8 1.9\n"
+)
 
 
 def overflow_cases(graph, kappa):
@@ -918,6 +866,18 @@ class TestDegenerateGraphFile:
         assert "overflow" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("lly_column", ["solved", "stubbed"])
+    def test_overflowing_degree_is_numerical_error(
+        self, tmp_path, capsys, monkeypatch, lly_column
+    ):
+        # the Lin-Lu-Yau LP of edge a-b fails first; past it, the transport
+        # column's kernels refuse epsilon 0
+        if lly_column == "stubbed":
+            monkeypatch.setattr(ricciflow.cli, "lly_vector", lambda g, omega: np.zeros(3))
+        assert self._run(tmp_path, DEG_OVERFLOW_GRAPH, ["curvature"]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
     def test_graph_file_that_is_not_utf8_is_input_error(self, tmp_path, capsys):
         graph = tmp_path / "bytes.graph"
         graph.write_bytes(b"graph 2 1\nvertex \xff 1\n")
@@ -928,13 +888,13 @@ class TestDegenerateGraphFile:
         assert os.listdir(out) == []
 
 
-LLY_CYCLE4 = ["flow", "--named", "cycle:4", "--kind", "lly", "--omega0", "1,1,1,3.5"]
-# (argv, RICCI_TOL_ZERO or None) per command, run in this order
+FLOW_CYCLE4 = ["flow", "--named", "cycle:4", "--t-end", "0.1", "--dt", "0.05"]
+# argv per command, run in this order: the option, then its default
 SHARED_PARSER_CASES = {
-    "lly_surgery_flag": [(LLY_CYCLE4 + ["--no-surgery"], None), (LLY_CYCLE4, None)],
+    "flow_kind": [FLOW_CYCLE4 + ["--kind", "lly"], FLOW_CYCLE4],
     "classify_tol_zero": [
-        (["classify", "--named", "path:5", "--tol-zero", "1"], None),
-        (["classify", "--named", "path:5"], "1e-3"),
+        ["classify", "--named", "path:5", "--tol-zero", "1"],
+        ["classify", "--named", "path:5"],
     ],
 }
 
@@ -944,26 +904,52 @@ class TestSharedParser:
         assert build_parser() is build_parser()
 
     @pytest.mark.parametrize("case", sorted(SHARED_PARSER_CASES))
-    def test_no_option_value_leaks_between_calls(self, tmp_path, monkeypatch, case):
-        def run(argv, env, out):
-            if env is None:
-                monkeypatch.delenv("RICCI_TOL_ZERO", raising=False)
-            else:
-                monkeypatch.setenv("RICCI_TOL_ZERO", env)
+    def test_no_option_value_leaks_between_calls(self, tmp_path, case):
+        def run(argv, out):
             code = main(argv + ["--out", str(out)])
             return code, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
         steps = SHARED_PARSER_CASES[case]
         first = []
-        for i, (argv, env) in enumerate(steps):
+        for i, argv in enumerate(steps):
             build_parser.cache_clear()  # the command is the parser's first
-            first.append(run(argv, env, tmp_path / f"first{i}"))
+            first.append(run(argv, tmp_path / f"first{i}"))
         assert first[0] != first[1]  # a leaked value would show
         build_parser.cache_clear()
         parser = build_parser()
-        for i, (argv, env) in enumerate(steps):
-            assert run(argv, env, tmp_path / f"shared{i}") == first[i], argv
+        for i, argv in enumerate(steps):
+            assert run(argv, tmp_path / f"shared{i}") == first[i], argv
         assert build_parser() is parser
+
+
+class TestRemovedSwitches:
+    # LLY flows always run surgery, the transport column always uses
+    # default_epsilon, and classify reads its tolerance from --tol-zero alone
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["flow", "--named", "cycle:4", "--kind", "lly", "--no-surgery"],
+            ["curvature", "--named", "cycle:4", "--epsilon", "0.1"],
+        ],
+        ids=["no_surgery", "epsilon"],
+    )
+    def test_parser_refuses(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_environment_sets_no_tolerance(self, tmp_path, monkeypatch):
+        def run(out):
+            assert main(["classify", "--named", "path:5", "--out", str(out)]) == EXIT_OK
+            return (out / "classify_path5.json").read_bytes()
+
+        monkeypatch.delenv("RICCI_TOL_ZERO", raising=False)
+        plain = run(tmp_path / "plain")
+        monkeypatch.setenv("RICCI_TOL_ZERO", "1.0")
+        assert run(tmp_path / "env") == plain
 
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"

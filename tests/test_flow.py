@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import ricciflow.flow
 import ricciflow.graph
 from ricciflow import (
-    DegenerateMetric,
     FlowTrajectory,
     MeasuredGraph,
     MetricAssignment,
@@ -271,13 +270,6 @@ class TestLLYIntegration:
         assert len(traj.segments) == 2
         for _, omega, _ in trajectory_samples(traj):
             assert all(v > 0 for v in omega)
-
-    def test_no_surgery_flag(self):
-        g = build_named_graph("cycle", 4)
-        w0 = MetricAssignment.from_vector(g, [1.0, 1.0, 1.0, 3.5])
-        with pytest.raises(DegenerateMetric):
-            # without surgery the long edge is degenerate and the LP rejects it
-            lly_flow_integrate(g, w0, 0.1, 1e-2, surgery=False)
 
     def test_one_surgery_scan_per_step(self, monkeypatch):
         # one scan per accepted state: t=0 and each of the 5 steps' results,

@@ -1,0 +1,66 @@
+"""The paper's curvature and spectral invariants on every small graph.
+
+Every connected graph on 2-6 vertices in networkx's atlas (Read & Wilson,
+*An Atlas of Graphs*), 142 in all, is checked twice: once with uniform
+measures and metric, and once with m1 and m2 drawn from [0.5, 2) and
+omega = 1 + 0.2 * rand, from a generator seeded by the atlas index.  The
+set is exhaustive, so no sample can miss a counterexample.
+"""
+
+import networkx as nx
+import numpy as np
+import pytest
+
+from ricciflow import (
+    MeasuredGraph,
+    MetricAssignment,
+    build_flow_matrix,
+    eigendecompose,
+    forman_vector,
+    is_tree,
+    lly_vector,
+)
+from ricciflow.spectral import EIGEN_GAP_TOL
+
+ATLAS = [
+    (i, h)
+    for i, h in enumerate(nx.graph_atlas_g())
+    if 2 <= h.number_of_nodes() <= 6 and nx.is_connected(h)
+]
+
+
+def atlas_case(index, h, measures):
+    """(graph, omega) of atlas graph ``index`` under the given measures."""
+    n, edges = h.number_of_nodes(), tuple(h.edges())
+    if measures == "uniform":
+        g = MeasuredGraph(tuple(range(n)), edges, np.ones(n), np.ones(len(edges)))
+        return g, MetricAssignment.uniform(g)
+    rng = np.random.default_rng(index)
+    m1, m2 = rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, len(edges))
+    g = MeasuredGraph(tuple(range(n)), edges, m1, m2)
+    return g, MetricAssignment.from_vector(g, 1.0 + 0.2 * rng.random(len(edges)))
+
+
+def test_atlas_is_every_connected_graph_on_2_to_6_vertices():
+    assert len(ATLAS) == 142
+
+
+@pytest.mark.parametrize("measures", ["uniform", "random"])
+@pytest.mark.parametrize("index, h", ATLAS, ids=[f"G{i}" for i, _ in ATLAS])
+def test_invariants(index, h, measures):
+    g, omega = atlas_case(index, h, measures)
+    forman, lly = forman_vector(g, omega), lly_vector(g, omega)
+    # Lin-Lu-Yau dominates Forman, with equality on trees
+    assert np.all(lly >= forman - 1e-12 * np.maximum(1.0, np.abs(forman)))
+    if is_tree(g):
+        assert np.all(np.abs(lly - forman) <= 1e-12)
+    # both curvatures are scale-free, bit for bit under a power of two
+    scaled = MetricAssignment.from_vector(g, 8.0 * omega.vector(g))
+    assert forman_vector(g, scaled).tobytes() == forman.tobytes()
+    assert lly_vector(g, scaled).tobytes() == lly.tobytes()
+    # a connected graph's flow matrix has a simple top eigenvalue and a
+    # positive Perron vector
+    sd = eigendecompose(build_flow_matrix(g))
+    if g.n_edges > 1:
+        assert sd.eigenvalues[-1] - sd.eigenvalues[-2] > EIGEN_GAP_TOL
+    assert np.all(sd.perron_vector > 0)
