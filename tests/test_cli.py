@@ -613,7 +613,9 @@ class TestNonFiniteInput:
             (["flow", "--named", "path:2", "--dt", "nan"], {}),
             (["flow", "--named", "path:2", "--t-end", "inf"], {}),
             (["flow", "--named", "cycle:4", "--kind", "lly", "--t-end", "inf", "--dt", "0.5"], {}),
+            (["flow", "--named", "cycle:4", "--kind", "lly", "--dt", "nan"], {}),
             (["classify", "--named", "path:3", "--tol-zero", "nan"], {}),
+            (["classify", "--named", "path:3", "--tol-zero", "inf"], {}),
             (["inverse", "--named", "star:3", "--kappa", "1,1,1", "--tol", "nan"], {}),
         ],
     )
