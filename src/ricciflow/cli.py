@@ -211,6 +211,13 @@ def cmd_classify(args):
     return EXIT_OK
 
 
+def _flow_times(t_end, dt):
+    """Sample times of a flow: round(t_end / dt) equal steps, at least one,
+    ending exactly at t_end; only t=0 if t_end is 0."""
+    steps = max(1, int(round(t_end / dt)))
+    return np.arange(steps + 1) * t_end / steps if t_end > 0 else np.zeros(1)
+
+
 def cmd_flow(args):
     g, omega0, name = _resolve_graph(args)
     t_end = _finite_float(args.t_end, "--t-end")
@@ -221,12 +228,8 @@ def cmd_flow(args):
         raise InputError("--dt must be positive")
     if t_end / dt > MAX_FLOW_STEPS:
         raise InputError(f"--t-end / --dt must be at most {MAX_FLOW_STEPS} steps")
-    if args.kind == "forman":
-        steps = max(1, int(round(t_end / dt)))
-        times = np.arange(steps + 1) * t_end / steps if t_end > 0 else [0.0]
-        traj = forman_flow_exact(g, omega0, times)
-    else:
-        traj = lly_flow_integrate(g, omega0, t_end, dt)
+    flow = forman_flow_exact if args.kind == "forman" else lly_flow_integrate
+    traj = flow(g, omega0, _flow_times(t_end, dt))
     out = os.path.join(args.out, f"flow_{name}.csv")
     write_trajectory_csv(traj, out)
     print(out)
@@ -267,10 +270,8 @@ def figure2_initial_metric(g, delta):
     return MetricAssignment.from_vector(g, vals)
 
 
-def _reproduce_flow(g, omega0, name, out_dir, t_end=12.0, dt=0.01):
-    steps = int(round(t_end / dt))
-    times = np.arange(steps + 1) * dt
-    traj = normalized_trajectory(forman_flow_exact(g, omega0, times))
+def _reproduce_flow(g, omega0, name, out_dir):
+    traj = normalized_trajectory(forman_flow_exact(g, omega0, _flow_times(12.0, 0.01)))
     csv_path = os.path.join(out_dir, f"reproduce_{name}.csv")
     write_trajectory_csv(traj, csv_path)
     return csv_path

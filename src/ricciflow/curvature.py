@@ -48,6 +48,7 @@ from .spectral import build_flow_matrix
 KERNEL_MASS_TOL = 1e-12
 # every LP here is small enough that HiGHS presolve costs more than it removes
 HIGHS_OPTIONS = {"presolve": False}
+HIGHS_INFINITE_COST = 1e20  # HiGHS's infinite_cost: any cost this large is infinite
 
 
 linprog = None  # scipy.optimize.linprog, bound by the first solve
@@ -58,10 +59,11 @@ def _highs(what, c, **constraints):
     global linprog
     if linprog is None:
         from scipy.optimize import linprog
-    if not np.isfinite(c).all():  # linprog would refuse it with a ValueError
+    # linprog refuses a non-finite cost, and HiGHS reads one this large as infinite
+    if not (np.abs(c) < HIGHS_INFINITE_COST).all():
         raise RuntimeError(f"{what} failed: its objective overflows (an m2/m1 ratio is too large)")
     res = linprog(c, **constraints, method="highs", options=HIGHS_OPTIONS)
-    if not res.success:
+    if not (res.success and math.isfinite(res.fun)):
         raise RuntimeError(f"{what} failed: {res.message}")
     return float(res.fun)
 

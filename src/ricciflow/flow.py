@@ -4,14 +4,15 @@ The Forman flow is linear, so it is evolved exactly through the spectral
 solution omega(t, e_l) = sum_i c_i(e_l) exp(lambda_i t), evaluated once as
 a shape that never grows times exp(lambda_max t).  The Lin-Lu-Yau
 flow on general graphs is nonlinear (the curvature is an LP value) and is
-integrated with classical RK4 plus surgery; on trees the two curvatures
-coincide, which both speeds up the integrator and gives the exact solution
-as a cross-check.  Surgery never disconnects the graph.  Both flows end
-with ConvergenceFailure, naming the time, once a sample weight leaves the
-normal float range [TINY, inf): below TINY it has lost precision, and a
-flow that carried on there would write wrong weights.  A trajectory keeps
-its samples as arrays in segments, one per edge set: the graph, the sample
-times, and one omega row and one kappa row per sample.
+integrated with classical RK4 plus surgery, one step from each sample time
+to the next; on trees the two curvatures coincide, which both speeds up the
+integrator and gives the exact solution as a cross-check.  Surgery never
+disconnects the graph.  Both flows take their sample times, checked by one
+rule, and end with ConvergenceFailure, naming the time, once a sample weight
+leaves the normal float range [TINY, inf): below TINY it has lost
+precision, and a flow that carried on there would write wrong weights.  A
+trajectory keeps its samples as arrays in segments, one per edge set: the
+graph, the sample times, and one omega row and one kappa row per sample.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .spectral import (
     flow_coefficients,
 )
 
-SAMPLE_EVERY_THRESHOLD = 64  # edges; beyond this keep every 10th step
 MAX_STEP_HALVINGS = 20
 FLOAT_FMT = "%.12g"  # 12 significant digits keep output files diff-stable
 CSV_BLOCK_SAMPLES = 256  # samples formatted by one % operation
@@ -98,6 +98,16 @@ def _forman_shape(g, omega0, times):
     return fm.F, shape, sd.lambda_max
 
 
+def _sample_times(times):
+    """``times`` as a float array; ValueError unless it is a nonempty,
+    nonnegative, strictly increasing sequence."""
+    tarr = np.asarray(times, dtype=float)
+    # negated comparisons also reject nan times
+    if not (tarr.ndim == 1 and tarr.size and tarr[0] >= 0 and np.all(np.diff(tarr) > 0)):
+        raise ValueError("times must be nonempty, nonnegative and strictly increasing")
+    return tarr
+
+
 def forman_flow_exact(g, omega0, times):
     """Evaluate the exact spectral Forman-flow solution at the given times.
 
@@ -107,10 +117,7 @@ def forman_flow_exact(g, omega0, times):
     applied.  ConvergenceFailure if a weight leaves [TINY, inf), or a
     curvature is not finite, at some time.
     """
-    tarr = np.asarray(times, dtype=float)
-    # negated comparisons also reject nan times
-    if not (np.all(tarr >= 0) and np.all(np.diff(tarr) > 0)):
-        raise ValueError("times must be nonnegative and strictly increasing")
+    tarr = _sample_times(times)
     f, shape, lambda_max = _forman_shape(g, omega0, tarr)
     with np.errstate(all="ignore"):  # a nonfinite result is raised just below
         w = shape * np.exp(lambda_max * tarr)[:, None]
@@ -175,33 +182,28 @@ def _advance(kappa_fn, w, dt):
     )
 
 
-def lly_flow_integrate(g, omega0, t_end, dt):
-    """Integrate the Lin-Lu-Yau flow with RK4 and surgery.
+def lly_flow_integrate(g, omega0, times):
+    """Integrate the Lin-Lu-Yau flow with RK4 and surgery, sampled at ``times``.
 
-    Each accepted state, t=0 included, is scanned for surgery, then
-    sampled if a sample is due, then stepped unless it is at t_end.
-    Removed edges restart the system on the reduced graph in a new
-    segment.  Samples are due every step for small graphs, every 10th step
-    otherwise (endpoints always).  ConvergenceFailure if a weight, at t=0
-    or after any step, leaves [TINY, inf), or a sampled curvature is not
-    finite.
+    The state at each sample time, t=0 included if listed, is reached by one
+    ``_advance`` from the previous one, then scanned for surgery and
+    sampled.  Removed edges restart the system on the reduced graph in a
+    new segment.  ConvergenceFailure if a weight at a sample time leaves
+    [TINY, inf), or a curvature there is not finite.
     """
-    if t_end < 0:
-        raise ValueError("t_end must be nonnegative")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-
+    times = _sample_times(times)
     graph = g
     kappa_fn = _lly_kappa_fn(graph)
     w = omega0.vector(graph)
-    _require_in_range("Lin-Lu-Yau", [0.0], w)
 
     surgeries = []
     rows = [(graph, [], [], [])]  # (graph, times, omega rows, kappa rows)
     t = 0.0
-    step_no = 0
-    sample = True
-    while True:
+    for t_next in times.tolist():
+        if t_next > t:  # false only for a sample at t=0
+            w = _advance(kappa_fn, w, t_next - t)
+            t = t_next
+        _require_in_range("Lin-Lu-Yau", [t], w)
         cut_graph, cut, events = apply_surgery(
             graph, MetricAssignment.from_vector(graph, w), t=t
         )
@@ -211,23 +213,14 @@ def lly_flow_integrate(g, omega0, t_end, dt):
             rows.append((graph, [], [], []))
             kappa_fn = _lly_kappa_fn(graph)
             w = cut.vector(graph)
-        if sample:
-            with np.errstate(over="ignore", invalid="ignore"):  # raised just below
-                kappa = kappa_fn(w)
-            _require_in_range("Lin-Lu-Yau", [t], w, kappa)
-            _, times, omega_rows, kappa_rows = rows[-1]
-            times.append(t)
-            omega_rows.append(w)
-            kappa_rows.append(kappa)
-        if not t < t_end - 1e-12:  # negated, so a nan t_end ends here too
-            return FlowTrajectory([_segment(*r) for r in rows], surgeries)
-        h = min(dt, t_end - t)
-        w = _advance(kappa_fn, w, h)
-        t += h
-        _require_in_range("Lin-Lu-Yau", [t], w)
-        step_no += 1
-        keep_every = 1 if graph.n_edges <= SAMPLE_EVERY_THRESHOLD else 10
-        sample = step_no % keep_every == 0 or t >= t_end - 1e-12
+        with np.errstate(over="ignore", invalid="ignore"):  # raised just below
+            kappa = kappa_fn(w)
+        _require_in_range("Lin-Lu-Yau", [t], w, kappa)
+        _, seg_times, omega_rows, kappa_rows = rows[-1]
+        seg_times.append(t)
+        omega_rows.append(w)
+        kappa_rows.append(kappa)
+    return FlowTrajectory([_segment(*r) for r in rows], surgeries)
 
 
 def normalized_trajectory(traj):

@@ -4,6 +4,7 @@ implementations that the package is checked against."""
 
 import inspect
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
@@ -151,6 +152,50 @@ def normalized_flow_state(g, omega0, t):
 
     _, (shape,), _ = _forman_shape(g, omega0, np.array([float(t)]))
     return MetricAssignment.from_vector(g, shape / np.sum(shape))
+
+
+def exact_inertia(g, shift=0):
+    """(positive, zero, negative) eigenvalue counts of Ftilde - shift I, exact.
+
+    Ftilde - shift I = M (G - shift diag(1/m2)) M with M = diag(sqrt(m2)) and
+    G = F diag(1/m2): G[i, j] = 1/m1(x) for distinct edges meeting at x and
+    G[i, i] = -(1/m1(u) + 1/m1(v)).  By Sylvester's law of inertia the counts
+    are those of the symmetric G - shift diag(1/m2), found by symmetric
+    elimination in Fractions, exact for float inputs and a rational shift.
+    """
+    shift = Fraction(shift)
+    inv_m1 = [1 / Fraction(x) for x in g.m1.tolist()]
+    ends = g.ends.tolist()
+    n = g.n_edges
+    a = [[Fraction(0)] * n for _ in range(n)]
+    for i, (u, v) in enumerate(ends):
+        a[i][i] = -(inv_m1[u] + inv_m1[v]) - shift / Fraction(float(g.m2[i]))
+        for j in range(i + 1, n):
+            for x in {u, v}.intersection(ends[j]):
+                a[i][j] = a[j][i] = inv_m1[x]
+    counts = [0, 0, 0]
+    while a:
+        size = range(len(a))
+        k = next((k for k in size if a[k][k]), None)
+        if k is None:
+            pair = next(((k, l) for k in size for l in size if a[k][l]), None)
+            if pair is None:  # what is left is the zero matrix
+                counts[1] += len(a)
+                break
+            # congruence by I + e_k e_l^T: a[k][k] becomes 2 a[k][l], as a[l][l] = 0
+            k, l = pair
+            for r in size:
+                a[k][r] += a[l][r]
+            for r in size:
+                a[r][k] += a[r][l]
+        pivot = a[k][k]
+        counts[0 if pivot > 0 else 2] += 1
+        rest = [r for r in size if r != k]
+        a = [
+            [a[r][c] - a[r][k] * a[k][c] / pivot for c in rest] if a[r][k] else [a[r][c] for c in rest]
+            for r in rest
+        ]
+    return tuple(counts)
 
 
 def line_graph_adjacency(g):

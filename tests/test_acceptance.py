@@ -214,7 +214,7 @@ class TestAcceptance:
                     continue
                 done += 1
                 w0 = random_metric(rng, g)
-                traj = lly_flow_integrate(g, w0, 5.0, 1e-3)
+                traj = lly_flow_integrate(g, w0, np.linspace(0.0, 5.0, 5001))
                 exact = forman_flow_exact(g, w0, traj.times[1:])
                 sup = 0.0
                 for (_, omega, _), (_, we, _) in zip(

@@ -3,33 +3,38 @@
 The benchmark wraps functions by module path and replaces every module-level
 binding of each; a renamed function or a function-local import would make it
 trace nothing, or break the LP-count check, without any test failing.  A
-changed number of LPs per command breaks that check too.
+changed number of LPs per command breaks that check too, and so does a CLI
+time grid that differs from the one perfbench/inputs.py counts steps on.
 """
 
 import importlib
 import importlib.util
 import pathlib
+import sys
 
+import numpy as np
 import pytest
 import scipy.optimize
 
 import ricciflow.curvature
 from ricciflow import MetricAssignment, build_named_graph, kernel
-from ricciflow.cli import EXIT_OK, main
+from ricciflow.cli import EXIT_OK, _flow_times, main
 from conftest import count_linprog, distance_matrix
 
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_perfbench(name):
+    """perfbench/<name>.py as a module of its own, read and never written."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_target_resolves_to_a_callable():
-    targets = load_tracing().TARGETS
+    targets = load_perfbench("tracing").TARGETS
     assert len(targets) == 21
     for _, module, func in targets:
         assert callable(getattr(importlib.import_module(module), func)), (module, func)
@@ -94,3 +99,26 @@ def test_lly_flow_lp_count(tmp_path, monkeypatch, omega0, kept_edges):
     assert (tmp_path / "flow_complete4_surgery.csv").exists() == (kept_edges == 5)
     steps = 2
     assert len(calls) == kept_edges + 5 * kept_edges * steps
+
+
+# The benchmark's oracles and LP-count formula take each flow's sample times
+# from their own grids, and must find the CLI's: the same number of samples,
+# at the same times.
+INPUTS = load_perfbench("inputs")
+BENCH_FLOWS = {
+    "lly_flow": (INPUTS.LLY_T_END, INPUTS.LLY_DT),
+    "cycle6": (float(INPUTS.CYCLE6_ARGS[1]), float(INPUTS.CYCLE6_ARGS[3])),
+    "star": INPUTS.STAR_FLOW[1:],
+    "tree": INPUTS.TREE_FLOW[1:],
+    "path": INPUTS.PATH_FLOW[1:],
+    "reproduce": (12.0, 0.01),
+}
+
+
+@pytest.mark.parametrize("t_end, dt", BENCH_FLOWS.values(), ids=BENCH_FLOWS.keys())
+@pytest.mark.parametrize("grid", ["lly_time_grid", "forman_time_grid"])
+def test_benchmark_grids_are_the_cli_grid(grid, t_end, dt):
+    times = _flow_times(t_end, dt)
+    bench = getattr(INPUTS, grid)(t_end, dt)
+    assert len(bench) == len(times)
+    assert np.max(np.abs(np.asarray(bench) - times)) <= 1e-12

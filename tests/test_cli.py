@@ -418,6 +418,19 @@ class TestFlowCommand:
         assert texts[0] == texts[1]
         assert texts[0].count(b"\n0,") == 3 and texts[0].count(b"\n") == 1 + 3
 
+    def test_both_kinds_sample_the_same_times(self, tmp_path):
+        # 0.1 / 0.03 rounds to 3 equal steps for either kind; on a tree the
+        # two flows coincide, up to the RK4 error
+        columns = {}
+        for kind in ("forman", "lly"):
+            argv = ["flow", "--named", "path:3", "--kind", kind, "--t-end", "0.1", "--dt", "0.03"]
+            assert main([*argv, "--out", str(tmp_path / kind)]) == EXIT_OK
+            _, rows = read_csv_rows(tmp_path / kind / "flow_path3.csv")
+            columns[kind] = ([row["t"] for row in rows], [float(row["omega"]) for row in rows])
+        (t_forman, w_forman), (t_lly, w_lly) = columns["forman"], columns["lly"]
+        assert t_lly == t_forman and len(t_forman) == 4 * 3 and t_forman[-1] == "0.1"
+        assert w_lly == pytest.approx(w_forman, rel=1e-6)
+
     def test_lly_flow_with_surgery_emits_event_csv(self, tmp_path):
         assert main(
             [
@@ -465,7 +478,7 @@ class TestFlowCommand:
             # kappa = -62 at t=0, but the first step's kappa * omega overflows
             (["--named", "star:65", "--omega0", ",".join(["1e307"] * 65)], "0.1", 1),
         ],
-        ids=["star6_overflow", "star65_overflow_between_samples", "star65_kappa_overflow"],
+        ids=["star6_overflow", "star65_overflow", "star65_kappa_overflow"],
     )
     def test_lly_flow_past_float_range_is_numerical_error(
         self, tmp_path, capsys, monkeypatch, argv, bad_t, n_steps
@@ -484,11 +497,13 @@ class TestFlowCommand:
             warnings.simplefilter("error")  # no numpy warning on stderr either
             code = main(["flow", "--kind", "lly", *argv, "--dt", "0.1", "--out", str(out)])
         assert code == EXIT_NUMERICAL
-        # the first step past the range ends the run, also between samples,
-        # and no step is halved to repair it
+        # the first step past the range ends the run, and no step is halved
+        # to repair it: each step runs between two times of the CLI's grid
         assert f"floating-point range at t={bad_t}" in capsys.readouterr().err
         assert os.listdir(out) == []
-        assert len(steps) == n_steps and set(steps) <= {0.1}
+        args = build_parser().parse_args(["flow", *argv, "--dt", "0.1"])
+        grid = ricciflow.cli._flow_times(args.t_end, args.dt)
+        assert steps == np.diff(grid)[:n_steps].tolist() and len(steps) == n_steps
 
     @pytest.mark.parametrize(
         "argv, bad_t",
@@ -607,22 +622,21 @@ class TestNonFiniteInput:
         assert os.listdir(out) == []
 
     @pytest.mark.parametrize(
-        "argv, env",
+        "argv",
         [
-            (["flow", "--named", "path:2", "--t-end", "nan"], {}),
-            (["flow", "--named", "path:2", "--dt", "nan"], {}),
-            (["flow", "--named", "path:2", "--t-end", "inf"], {}),
-            (["flow", "--named", "cycle:4", "--kind", "lly", "--t-end", "inf", "--dt", "0.5"], {}),
-            (["flow", "--named", "cycle:4", "--kind", "lly", "--dt", "nan"], {}),
-            (["classify", "--named", "path:3", "--tol-zero", "nan"], {}),
-            (["classify", "--named", "path:3", "--tol-zero", "inf"], {}),
-            (["inverse", "--named", "star:3", "--kappa", "1,1,1", "--tol", "nan"], {}),
+            ["flow", "--named", "path:2", "--t-end", "nan"],
+            ["flow", "--named", "path:2", "--dt", "nan"],
+            ["flow", "--named", "path:2", "--t-end", "inf"],
+            ["flow", "--named", "cycle:4", "--kind", "lly", "--t-end", "inf", "--dt", "0.5"],
+            ["flow", "--named", "cycle:4", "--kind", "lly", "--dt", "nan"],
+            ["classify", "--named", "path:3", "--tol-zero", "nan"],
+            ["classify", "--named", "path:3", "--tol-zero", "inf"],
+            ["inverse", "--named", "star:3", "--kappa", "1,1,1", "--tol", "nan"],
         ],
+        # the ids these cases had when each also named environment variables
+        ids=[f"argv{i}-env{i}" for i in range(8)],
     )
-    def test_float_options_are_input_errors(self, tmp_path, capsys, monkeypatch, argv, env):
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
-
+    def test_float_options_are_input_errors(self, tmp_path, capsys, argv):
         def hung(signum, frame):
             pytest.fail(f"{argv} did not return within 10 s")
 
@@ -639,18 +653,14 @@ class TestNonFiniteInput:
         assert os.listdir(out) == []
 
     @pytest.mark.parametrize(
-        "argv, env",
+        "argv",
         [
-            (["classify", "--named", "star:3", "--tol-zero", "-1"], {}),
-            (["inverse", "--named", "star:3", "--kappa", "0,0,0", "--tol", "-1"], {}),
+            ["classify", "--named", "star:3", "--tol-zero", "-1"],
+            ["inverse", "--named", "star:3", "--kappa", "0,0,0", "--tol", "-1"],
         ],
         ids=["tol_zero_flag", "inverse_tol"],
     )
-    def test_negative_tolerances_are_input_errors(
-        self, tmp_path, capsys, monkeypatch, argv, env
-    ):
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
+    def test_negative_tolerances_are_input_errors(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == EXIT_INPUT
         assert "nonnegative" in capsys.readouterr().err
@@ -827,6 +837,11 @@ def overflow_cases(graph, kappa):
     return [(graph, argv) for argv in commands]
 
 
+# a path a-b-c whose m2/m1(c) = 1e25 passes HiGHS's infinite cost, 1e20, in
+# the objective of the Lin-Lu-Yau LP of edge b-c
+LEAF_COST_GRAPH = "graph 3 2\nvertex a 1\nvertex b 1\nvertex c 1e-25\nedge a b 1\nedge b c 1\n"
+
+
 class TestDegenerateGraphFile:
     @staticmethod
     def _run(tmp_path, text, argv):
@@ -867,6 +882,15 @@ class TestDegenerateGraphFile:
         err = capsys.readouterr().err
         assert "overflow" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("graph", [LEAF_COST_GRAPH, DEG_OVERFLOW_GRAPH], ids=["leaf", "deg"])
+    def test_lp_cost_past_highs_infinity_is_numerical_error(self, tmp_path, capsys, graph):
+        # these used to exit 0 writing lly = inf, or exit 3 with HiGHS's
+        # unexplained status 15
+        assert self._run(tmp_path, graph, ["curvature"]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        assert "objective overflows (an m2/m1 ratio is too large)" in err
 
     @pytest.mark.parametrize("lly_column", ["solved", "stubbed"])
     def test_overflowing_degree_is_numerical_error(

@@ -246,6 +246,14 @@ class TestLLY:
         with pytest.raises(RuntimeError, match=r"^transport LP failed: no optimum$"):
             lly_limit_estimate(g, w)
 
+    def test_infinite_optimum_is_a_failure(self, monkeypatch):
+        # HiGHS can report an optimal status with an infinite cost
+        infinite = types.SimpleNamespace(success=True, message="Optimal", fun=math.inf)
+        monkeypatch.setattr(ricciflow.curvature, "linprog", lambda *a, **k: infinite)
+        g = build_named_graph("cycle", 3)
+        with pytest.raises(RuntimeError, match=r"^Lin-Lu-Yau LP of edge 0-1 failed: Optimal$"):
+            lly_edge(g, MetricAssignment.uniform(g), (0, 1))
+
     def test_lps_are_local_to_the_edge(self, monkeypatch):
         # one LP per edge, over B1(x) u B1(y) whatever the size of the graph
         g = build_named_graph("cycle", 40)

@@ -22,7 +22,7 @@ from ricciflow import (
     write_trajectory_csv,
 )
 from ricciflow.curvature import forman_kappa
-from ricciflow.flow import CSV_BLOCK_SAMPLES, SAMPLE_EVERY_THRESHOLD, atomic_write
+from ricciflow.flow import CSV_BLOCK_SAMPLES, atomic_write
 from ricciflow.spectral import build_flow_matrix
 from conftest import (
     SMALL_WEIGHT_FLOWS,
@@ -190,7 +190,7 @@ class TestLLYIntegration:
         rng = np.random.default_rng(4)
         g = random_tree(rng, 7, uniform_measures=False)
         w0 = random_metric(rng, g)
-        traj = lly_flow_integrate(g, w0, 1.0, 1e-3)
+        traj = lly_flow_integrate(g, w0, np.linspace(0.0, 1.0, 1001))
         exact = forman_flow_exact(g, w0, traj.times[1:])
         for (t, omega, _), (te, we, _) in zip(
             trajectory_samples(traj)[1:], trajectory_samples(exact)
@@ -202,7 +202,7 @@ class TestLLYIntegration:
     def test_triangle_symmetric_decay(self):
         g = build_named_graph("cycle", 3)
         w0 = MetricAssignment.uniform(g)
-        traj = lly_flow_integrate(g, w0, 0.2, 1e-2)
+        traj = lly_flow_integrate(g, w0, np.linspace(0.0, 0.2, 21))
         t0, _, kappa0 = trajectory_samples(traj)[0]
         assert np.allclose(kappa0, 3.0, atol=1e-8)
         for _, omega, _ in trajectory_samples(traj):
@@ -214,18 +214,19 @@ class TestLLYIntegration:
     def test_zero_horizon(self):
         g = build_named_graph("cycle", 5)
         w0 = MetricAssignment.uniform(g)
-        traj = lly_flow_integrate(g, w0, 0.0, 1e-2)
+        traj = lly_flow_integrate(g, w0, [0.0])
         assert len(trajectory_samples(traj)) == 1
         assert traj.times == [0.0]
         assert traj.surgeries == []
 
     def test_bad_arguments(self):
+        # both flows share one check of their sample times
         g = build_named_graph("path", 2)
         w0 = MetricAssignment.uniform(g)
-        with pytest.raises(ValueError):
-            lly_flow_integrate(g, w0, -1.0, 1e-2)
-        with pytest.raises(ValueError):
-            lly_flow_integrate(g, w0, 1.0, 0.0)
+        for flow in (lly_flow_integrate, forman_flow_exact):
+            for times in ([], [1.0, 0.5], [-1.0, 0.0], [0.0, math.nan]):
+                with pytest.raises(ValueError):
+                    flow(g, w0, times)
 
     def test_step_size_guard(self):
         # single edge shrinks as exp(-2t); a gigantic explicit step cannot
@@ -233,7 +234,7 @@ class TestLLYIntegration:
         g = build_named_graph("path", 1)
         w0 = MetricAssignment.uniform(g)
         with pytest.raises(StepSizeTooLarge):
-            lly_flow_integrate(g, w0, 1e9, 1e9)
+            lly_flow_integrate(g, w0, [0.0, 1e9])
 
     def test_rk4_step_rejects_a_nonpositive_step_of_positive_stages(self):
         # zero slopes keep every stage state at w; the last slope alone
@@ -247,8 +248,7 @@ class TestLLYIntegration:
         # d/dt sum(omega) = -sum(kappa * omega) along the flow
         g = build_named_graph("cycle", 5)
         w0 = MetricAssignment.from_vector(g, [1.0, 1.1, 0.9, 1.05, 0.95])
-        dt = 1e-3
-        traj = lly_flow_integrate(g, w0, 0.05, dt)
+        traj = lly_flow_integrate(g, w0, np.linspace(0.0, 0.05, 51))
         samples = trajectory_samples(traj)
         for (t0, w_a, k_a), (t1, w_b, k_b) in zip(samples, samples[1:]):
             lhs = (sum(w_b) - sum(w_a)) / (t1 - t0)
@@ -263,7 +263,7 @@ class TestLLYIntegration:
         # first scan removes it and the flow continues on the path
         g = build_named_graph("cycle", 4)
         w0 = MetricAssignment.from_vector(g, [1.0, 1.0, 1.0, 3.5])
-        traj = lly_flow_integrate(g, w0, 0.3, 1e-2)
+        traj = lly_flow_integrate(g, w0, np.linspace(0.0, 0.3, 31))
         assert len(traj.surgeries) == 1
         assert traj.surgeries[0].removed_edge == g.edges[3]
         assert traj.final_graph().n_edges == 3
@@ -283,7 +283,7 @@ class TestLLYIntegration:
 
         monkeypatch.setattr(ricciflow.graph, "surgery_scan", counting)
         g = build_named_graph("cycle", 5)
-        traj = lly_flow_integrate(g, MetricAssignment.uniform(g), 0.05, 1e-2)
+        traj = lly_flow_integrate(g, MetricAssignment.uniform(g), np.linspace(0.0, 0.05, 6))
         assert len(traj.times) == 6
         assert len(scans) == 6
 
@@ -303,7 +303,7 @@ class TestLLYIntegration:
 
         monkeypatch.setattr(ricciflow.flow, "_advance", stretch_first)
         g = build_named_graph("cycle", 4)
-        traj = lly_flow_integrate(g, MetricAssignment.uniform(g), 0.03, 0.01)
+        traj = lly_flow_integrate(g, MetricAssignment.uniform(g), np.linspace(0.0, 0.03, 4))
         (event,) = traj.surgeries
         assert event.removed_edge == (3, 0) and event.time == pytest.approx(0.01)
         (g0, times0, omega0, _), (g1, times1, omega1, _) = traj.segments
@@ -314,21 +314,18 @@ class TestLLYIntegration:
         # the cut graph is a tree, whose curvature needs no LP
         assert len(calls) == 4 + 4 * 4
 
-    def test_large_graph_keeps_every_tenth_step(self):
-        # past SAMPLE_EVERY_THRESHOLD edges a sample is kept every 10th step,
-        # and at the endpoint; a tree's kappa is the cheap Forman product
-        g = build_named_graph("path", SAMPLE_EVERY_THRESHOLD + 1)
-        traj = lly_flow_integrate(g, MetricAssignment.uniform(g), 0.25, 0.01)
-        grid = [0.0]  # the integrator's step times, the last step clipped
-        while grid[-1] < 0.25 - 1e-12:
-            grid.append(grid[-1] + min(0.01, 0.25 - grid[-1]))
-        assert len(grid) == 26
-        assert traj.times == [grid[0], grid[10], grid[20], grid[25]]
+    def test_large_graph_samples_every_grid_time(self):
+        # a 65-edge graph keeps a sample at every time it is given, as a
+        # small one does; a tree's kappa is the cheap Forman product
+        g = build_named_graph("path", 65)
+        times = np.linspace(0.0, 0.25, 26)
+        traj = lly_flow_integrate(g, MetricAssignment.uniform(g), times)
+        assert traj.times == times.tolist()
 
     def test_long_time_tree_normalized_limit(self):
         g = build_named_graph("star", 3)
         w0 = MetricAssignment.from_vector(g, [1.0, 2.0, 3.0])
-        traj = lly_flow_integrate(g, w0, 30.0, 1e-2)
+        traj = lly_flow_integrate(g, w0, np.linspace(0.0, 30.0, 3001))
         _, omega, _ = trajectory_samples(traj)[-1]
         assert np.allclose(omega, 2.0, atol=1e-6)
 
@@ -337,14 +334,14 @@ class TestNormalizedTrajectory:
     def test_weights_sum_to_one(self):
         g = build_named_graph("path", 3)
         w0 = MetricAssignment.from_vector(g, [1.0, 2.0, 3.0])
-        traj = normalized_trajectory(lly_flow_integrate(g, w0, 0.5, 1e-2))
+        traj = normalized_trajectory(lly_flow_integrate(g, w0, np.linspace(0.0, 0.5, 51)))
         for _, omega, _ in trajectory_samples(traj):
             assert sum(omega) == pytest.approx(1.0, abs=1e-12)
 
     def test_curvature_untouched(self):
         g = build_named_graph("cycle", 5)
         w0 = MetricAssignment.uniform(g)
-        raw = lly_flow_integrate(g, w0, 0.1, 1e-2)
+        raw = lly_flow_integrate(g, w0, np.linspace(0.0, 0.1, 11))
         norm = normalized_trajectory(raw)
         for (_, _, ka), (_, _, kb) in zip(
             trajectory_samples(raw), trajectory_samples(norm)
@@ -356,7 +353,7 @@ class TestResidual:
     def test_small_on_fine_integration(self):
         g = build_named_graph("cycle", 5)
         w0 = MetricAssignment.uniform(g)
-        traj = lly_flow_integrate(g, w0, 0.1, 1e-3)
+        traj = lly_flow_integrate(g, w0, np.linspace(0.0, 0.1, 101))
         assert curvature_residual(traj) < 1e-5
 
     def test_exact_solution_residual_scales_with_sampling(self):
@@ -377,7 +374,7 @@ class TestResidual:
     def test_rejects_surgeried_trajectory(self):
         g = build_named_graph("cycle", 4)
         w0 = MetricAssignment.from_vector(g, [1.0, 1.0, 1.0, 3.5])
-        traj = lly_flow_integrate(g, w0, 0.3, 1e-2)
+        traj = lly_flow_integrate(g, w0, np.linspace(0.0, 0.3, 31))
         assert traj.surgeries
         with pytest.raises(ValueError):
             curvature_residual(traj)
@@ -387,7 +384,7 @@ class TestCsvExport:
     def test_trajectory_csv(self, tmp_path):
         g = build_named_graph("path", 2)
         w0 = MetricAssignment.uniform(g)
-        traj = lly_flow_integrate(g, w0, 0.02, 1e-2)
+        traj = lly_flow_integrate(g, w0, np.linspace(0.0, 0.02, 3))
         out = tmp_path / "traj.csv"
         write_trajectory_csv(traj, out)
         lines = out.read_text().strip().splitlines()
@@ -403,7 +400,7 @@ class TestCsvExport:
     def test_surgery_csv(self, tmp_path):
         g = build_named_graph("cycle", 4)
         w0 = MetricAssignment.from_vector(g, [1.0, 1.0, 1.0, 3.5])
-        traj = lly_flow_integrate(g, w0, 0.1, 1e-2)
+        traj = lly_flow_integrate(g, w0, np.linspace(0.0, 0.1, 11))
         out = tmp_path / "surgery.csv"
         write_surgery_csv(traj, out)
         lines = out.read_text().strip().splitlines()
@@ -416,7 +413,7 @@ class TestCsvExport:
     def test_surgery_at_start_against_original_graph(self, tmp_path):
         g = build_named_graph("cycle", 4)
         w0 = MetricAssignment.from_vector(g, [1.0, 1.0, 1.0, 3.5])
-        traj = lly_flow_integrate(g, w0, 0.3, 1e-2)
+        traj = lly_flow_integrate(g, w0, np.linspace(0.0, 0.3, 31))
         assert [ev.time for ev in traj.surgeries] == [0.0]
         # the original graph carries no sample; all sit on the cut graph
         assert [len(times) for _, times, _, _ in traj.segments] == [0, 31]
@@ -442,7 +439,7 @@ class TestCsvExport:
         g = build_named_graph("cycle", 5)
         w0 = MetricAssignment.from_vector(g, [1.0, 1.1, 0.9, 1.05, 0.95])
         flows = {
-            "lly": lambda: lly_flow_integrate(g, w0, 0.05, 1e-2),
+            "lly": lambda: lly_flow_integrate(g, w0, np.linspace(0.0, 0.05, 6)),
             "forman": lambda: forman_flow_exact(g, w0, np.linspace(0.0, 0.5, 51)),
         }
         for kind, run in flows.items():
@@ -546,7 +543,7 @@ class TestBlockWriter:
     def test_lly_surgery_at_start_matches_reference(self, tmp_path):
         g = build_named_graph("cycle", 4)
         w0 = MetricAssignment.from_vector(g, [1.0, 1.0, 1.0, 3.5])
-        traj = lly_flow_integrate(g, w0, 0.3, 1e-2)
+        traj = lly_flow_integrate(g, w0, np.linspace(0.0, 0.3, 31))
         assert [len(times) for _, times, _, _ in traj.segments] == [0, 31]
         out = tmp_path / "traj.csv"
         write_trajectory_csv(traj, out)

@@ -1,5 +1,6 @@
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from ricciflow import (
 from ricciflow.spectral import (
     BIG_DEGREE_CASE,
     CONSTANT_METRIC,
+    DEFAULT_TOL_ZERO,
     DIVERGENT,
     EIGEN_GAP_TOL,
     EigenvalueGapTooSmall,
@@ -37,6 +39,7 @@ from ricciflow.spectral import (
     _round_robin,
 )
 from conftest import (
+    exact_inertia,
     line_graph_adjacency,
     random_connected_graph,
     random_metric,
@@ -487,6 +490,42 @@ class TestTreeClassification:
         b = line_graph_adjacency(g)
         w, _ = jacobi_eigh(b)
         assert w[-1] >= max(g.degree(x) for x in g.vertices) - 1 - 1e-10
+
+
+def exact_class(g):
+    """The flow's long-time class read from the exact inertia of Ftilde."""
+    positive, zero, _ = exact_inertia(g)
+    return DIVERGENT if positive else CONSTANT_METRIC if zero else VANISHING
+
+
+class TestExactInertia:
+    def test_tree_trichotomy_holds_exactly(self):
+        # every tree of 1-12 edges under uniform measure, 2287 in all
+        limit = {PATH_CASE: VANISHING, K13_CASE: CONSTANT_METRIC, BIG_DEGREE_CASE: DIVERGENT}
+        count = 0
+        for n_edges in range(1, 13):
+            for tree in nx.nonisomorphic_trees(n_edges + 1):
+                n = n_edges + 1
+                g = MeasuredGraph(tuple(range(n)), tuple(tree.edges()), np.ones(n), np.ones(n_edges))
+                assert exact_class(g) == limit[classify_tree_uniform(g)], g.edges
+                count += 1
+        assert count == 2287
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_float_class_is_exact_off_the_zero_band(self, seed):
+        # classify_convergence decides the class by the float lambda_max; past
+        # tol_zero its sign must be the exact one, and lambda_max lies in an
+        # exactly certified bracket of relative width 1e-10
+        rng = np.random.default_rng(140 + seed)
+        for _ in range(10):
+            n = int(rng.integers(3, 10))
+            g = random_connected_graph(rng, n, int(rng.integers(0, 4)), uniform_measures=False)
+            report = classify_convergence(g)
+            lam = report.lambda_max
+            half = 5e-11 * max(1.0, abs(lam))
+            assert exact_inertia(g, lam - half)[0] == 1 and exact_inertia(g, lam + half)[0] == 0
+            if abs(lam) > DEFAULT_TOL_ZERO:
+                assert report.classification == exact_class(g)
 
 
 class TestPerronStructure:
