@@ -165,11 +165,12 @@ def exact_inertia(g, shift=0):
     """
     shift = Fraction(shift)
     inv_m1 = [1 / Fraction(x) for x in g.m1.tolist()]
+    m2 = g.m2.tolist()
     ends = g.ends.tolist()
     n = g.n_edges
     a = [[Fraction(0)] * n for _ in range(n)]
     for i, (u, v) in enumerate(ends):
-        a[i][i] = -(inv_m1[u] + inv_m1[v]) - shift / Fraction(float(g.m2[i]))
+        a[i][i] = -(inv_m1[u] + inv_m1[v]) - shift / Fraction(m2[i])
         for j in range(i + 1, n):
             for x in {u, v}.intersection(ends[j]):
                 a[i][j] = a[j][i] = inv_m1[x]
