@@ -144,7 +144,6 @@ def _resolve_graph(args):
 
 def cmd_curvature(args):
     g, omega, name = _resolve_graph(args)
-    # in this order, so lly_vector raises DegenerateMetric before any LP is solved
     columns = (forman_vector(g, omega), lly_vector(g, omega), lly_limit_estimate(g, omega))
     lines = ["edge,forman,lly,lly_limit_estimate"]
     for e, row in zip(g.edges, np.stack(columns, axis=1).tolist()):

@@ -12,10 +12,13 @@ transport estimate (``lly_limit_estimate``) built from Wasserstein
 distances between lazy random-walk kernels.  The curvature of an edge
 (x, y) depends only on the potential over B1(x) u B1(y), so its LP has one
 variable per vertex there and one row per pair of B1(x) x B1(y), with the
-bounds read from one distance matrix per metric.  A kernel is a pair of
-arrays, vertex positions and masses; the estimate builds one per vertex
-and reads every d(x, y) and transport cost from a distance matrix of its
-own.  The two routes agree to solver precision for lazy enough kernels.
+bounds and d(x, y) read from one distance matrix per metric.  Curvature
+is defined on the path metric, so it reads every edge, strict or not, at
+its path distance, which is omega(e) bit for bit when e is strict; only
+surgery tests strictness.  A kernel is a pair of arrays, vertex positions
+and masses; the estimate builds one per vertex and reads every d(x, y) and
+transport cost from a distance matrix of its own.  The two routes agree to
+solver precision for lazy enough kernels.
 
 The curvatures are scale-invariant but HiGHS's tolerances are absolute, so
 LPs and Forman products run on omega scaled exactly to unit size by a power
@@ -35,14 +38,7 @@ import math
 
 import numpy as np
 
-from .graph import (
-    DegenerateMetric,
-    _path_lengths,
-    _unit_detours,
-    _unit_scale,
-    deg_measure,
-    edge_id,
-)
+from .graph import _path_lengths, _unit_scale, deg_measure, edge_id
 from .spectral import build_flow_matrix
 
 KERNEL_MASS_TOL = 1e-12
@@ -147,14 +143,15 @@ def wasserstein(d, mu, nu):
     return math.ldexp(cost, k)
 
 
-def _lly_lp(g, dist, x, y, d):
-    # Curvature of the strict edge (x, y), whose distance d is omega(x, y):
-    # minimizes (Lap f(x) - Lap f(y)) / d over potentials f on
-    # S = B1(x) u B1(y) with f(x) = 0, f(y) = d and the rows below, read
-    # from the unit-scale distance matrix D.  Exact: at every laziness this
-    # LP lies between the 1-Lipschitz dual on S and the two-potential
-    # Kantorovich dual, and both are W1(mu_x, mu_y).
+def _lly_lp(g, dist, x, y):
+    # Curvature of the edge (x, y) at its path distance d = D(x, y), read
+    # with the rows below from the unit-scale distance matrix D: minimizes
+    # (Lap f(x) - Lap f(y)) / d over potentials f on S = B1(x) u B1(y) with
+    # f(x) = 0 and f(y) = d.  Exact: at every laziness this LP lies between
+    # the 1-Lipschitz dual on S and the two-potential Kantorovich dual, and
+    # both are W1(mu_x, mu_y).
     vid = g.vertex_index
+    d = float(dist[vid[x], vid[y]])
     ball_x = [vid[x], *(vid[z] for z, _ in g.adjacency[x])]
     ball_y = [vid[y], *(vid[z] for z, _ in g.adjacency[y])]
     s = np.unique(ball_x + ball_y)
@@ -189,32 +186,24 @@ def _lly_lp(g, dist, x, y, d):
 
 
 def _lly_values(g, omega, edges):
-    # one strictness scan and one unit-scale distance matrix, then one LP
-    # per listed edge index, posed in the edge's stored orientation
-    w, _, dist, bad = _unit_detours(g, omega)
-    names = [edge_id(*g.edges[i]) for i, _ in bad if i in edges]
-    if names:
-        raise DegenerateMetric(f"metric is degenerate on edges {names}")
-    return np.array([_lly_lp(g, dist, *g.edges[i], float(w[i])) for i in edges])
+    # one unit-scale distance matrix, then one LP per listed edge index,
+    # posed in the edge's stored orientation
+    dist = _path_lengths(g, _unit_scale(omega.vector(g))[0])
+    return np.array([_lly_lp(g, dist, *g.edges[i]) for i in edges])
 
 
 def lly_edge(g, omega, e):
     """Exact Lin-Lu-Yau curvature of the edge e, in either orientation: its
-    entry of ``lly_vector``, bit for bit.
-
-    DegenerateMetric unless e is strict, as ``surgery_scan`` decides; other
-    edges need not be.
-    """
+    entry of ``lly_vector``, bit for bit."""
     return float(_lly_values(g, omega, [g.position(*e)])[0])
 
 
 def lly_vector(g, omega):
     """Lin-Lu-Yau curvature of every edge, in edge order (one LP per edge).
 
-    Every edge is first tested for strictness as ``surgery_scan`` tests
-    it; DegenerateMetric names each edge that is not.  Each edge's LP spans
-    only the balls B1(x) u B1(y) of its ends, and the test and the LPs read
-    one distance matrix of omega scaled to unit size.
+    Each edge's LP spans only the balls B1(x) u B1(y) of its ends, and the
+    LPs read one distance matrix of omega scaled to unit size.  An edge is
+    read at its path distance: its own weight unless a detour is shorter.
     """
     return _lly_values(g, omega, range(g.n_edges))
 

@@ -10,10 +10,11 @@ matrix of ``_path_lengths``.  An edge e = (x, y) is strict while
 omega(e) (1 + SURGERY_TOL) < d_alt, with d_alt the shortest x-y path
 avoiding e: like curvature, the rule is scale-free.  ``_unit_detours``,
 the one test of it, reads omega at unit scale, divided exactly by the power
-of two ``_unit_scale`` picks, and returns its distance matrix at that
-scale, which the curvature LPs read too.  ``surgery_scan`` returns each
-failing edge's index with its exact d_alt; a bridge has no detour, so
-surgery never disconnects a graph.
+of two ``_unit_scale`` picks, and only surgery runs it (``surgery_scan``
+and ``apply_surgery``): curvature reads the path metric whether or not an
+edge is strict.  ``surgery_scan`` returns each failing edge's index with
+its exact d_alt; a bridge has no detour, so surgery never disconnects a
+graph.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ class GraphParseError(GraphError):
 
 
 class DegenerateMetric(ValueError):
-    """An edge is not strict, or weights too far apart to scale to unit size."""
+    """Weights too far apart to scale exactly to unit size."""
 
 
 def edge_id(u, v):
@@ -311,19 +312,18 @@ def surgery_scan(g, omega):
     """
     if is_tree(g):
         return []
-    _, k, _, bad = _unit_detours(g, omega)
+    k, bad = _unit_detours(g, omega)
     with np.errstate(over="ignore"):  # a detour past the float range is inf
         return [(i, float(np.ldexp(alt, k))) for i, alt in bad]
 
 
 def _unit_detours(g, omega):
-    """(w, k, d, bad): omega = w 2**k with w at unit scale, d the distance
-    matrix of w, and ``(i, d_alt)`` at the scale of w for each edge that is
-    not strict.
+    """(k, bad): omega = w 2**k with w at unit scale, and ``(i, d_alt)``
+    at the scale of w for each edge that is not strict.
 
-    d finds the candidates, as min over z ~ x, z != y of w(xz) + d(z, y) is
-    at most d_alt; each is confirmed on the graph without e_i, so no detour
-    runs back through it.
+    The distance matrix d of w finds the candidates, as min over z ~ x,
+    z != y of w(xz) + d(z, y) is at most d_alt; each is confirmed on the
+    graph without e_i, so no detour runs back through it.
     """
     w, k = _unit_scale(omega.vector(g))
     d = _path_lengths(g, w)
@@ -338,7 +338,7 @@ def _unit_detours(g, omega):
         alt = _path_lengths(g, np.where(edges == i, math.inf, w))[a[i], b[i]]
         if reach[i] >= alt:
             bad.append((i, alt))
-    return w, k, d, bad
+    return k, bad
 
 
 def apply_surgery(g, omega, t=0.0):

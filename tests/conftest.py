@@ -270,14 +270,16 @@ def reference_lly_vector(g, omega):
 
     One variable per vertex and two Lipschitz rows per edge, on omega scaled
     to unit size: the oracle for the LPs of ``ricciflow.curvature.lly_vector``,
-    which are local to B1(x) u B1(y).  Every edge must be strict.
+    which are local to B1(x) u B1(y).  Each edge is read at its path
+    distance, which is its weight unless a detour is shorter.
     """
     from ricciflow.graph import _unit_scale
 
     w, _ = _unit_scale(omega.vector(g))
+    d = distance_matrix(g, MetricAssignment.from_vector(g, w))
     rows = _lipschitz_rows(g, w)
     return np.array(
-        [_whole_graph_lly_lp(g, *rows, u, v, d) for (u, v), d in zip(g.edges, w.tolist())]
+        [_whole_graph_lly_lp(g, *rows, *e, d[a, b]) for e, (a, b) in zip(g.edges, g.ends.tolist())]
     )
 
 

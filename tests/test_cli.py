@@ -59,20 +59,13 @@ class TestCurvatureCommand:
         )
         assert code == EXIT_INPUT
 
-    def test_degenerate_metric_is_numerical_error(self, tmp_path, capsys):
-        code = main(
-            [
-                "curvature",
-                "--named",
-                "cycle:3",
-                "--omega0",
-                "1,1,2.5",
-                "--out",
-                str(tmp_path),
-            ]
-        )
-        assert code == EXIT_NUMERICAL
-        assert "numerical failure" in capsys.readouterr().err
+    def test_non_strict_metric_reads_the_path_metric(self, tmp_path):
+        # 2-0 is longer than its detour, so the path metric is the regular
+        # triangle's, and both Lin-Lu-Yau columns read its curvature
+        argv = ["curvature", "--named", "cycle:3", "--omega0", "1,1,2.5"]
+        assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+        _, rows = read_csv_rows(tmp_path / "curvature_cycle3.csv")
+        assert [(r["lly"], r["lly_limit_estimate"]) for r in rows] == [("3", "3")] * 3
 
     @pytest.mark.parametrize("scale", ["1e-9", "1e9", "1e15", "1e100"])
     def test_table_is_scale_free(self, tmp_path, scale):
@@ -135,7 +128,7 @@ class TestCurvatureCommand:
         assert tables[1] == tables[0]
 
     # the t=0 surgery and sample; past it the spread flow is stiff (kappa
-    # about -1e16), and a step lands on a degenerate metric
+    # about -1e16)
     LLY_FLOW = ["flow", "--kind", "lly", "--t-end", "0"]
 
     @staticmethod
@@ -168,16 +161,31 @@ class TestCurvatureCommand:
     def test_tiny_weight_never_cuts_the_bridge(self, tmp_path, capsys, argv):
         # a detour back through the bridge over the edge 2-0 is within
         # SURGERY_TOL of its weight, and so are the detours of 0-1 and 1-2:
-        # the table names those two, and the flow cuts 0-1 at t=0
+        # the table reads those two on the path metric, as the transport
+        # estimate does, and the flow cuts 0-1 at t=0
         weights = {(2, 3): 1, (0, 1): 1, (1, 2): 1, (2, 0): "1e-10"}
-        code, err, out = self._run_bridge_graph(tmp_path, capsys, argv, weights)
+        code, _, out = self._run_bridge_graph(tmp_path, capsys, argv, weights)
+        assert code == EXIT_OK
         if argv[0] == "curvature":
-            assert code == EXIT_NUMERICAL and os.listdir(out) == []
-            assert "metric is degenerate on edges ['0-1', '1-2']" in err
+            _, rows = read_csv_rows(out / "curvature_bridge.csv")
+            assert len(rows) == 4
+            for row in rows:
+                kappa, estimate = float(row["lly"]), float(row["lly_limit_estimate"])
+                assert abs(kappa - estimate) <= 1e-6 * (1.0 + abs(kappa))
         else:
-            assert code == EXIT_OK
             _, rows = read_csv_rows(out / "flow_bridge_surgery.csv")
             assert [(r["t"], r["edge_id"]) for r in rows] == [("0", "0-1")]
+
+    def test_stiff_flow_is_cut_at_a_sample(self, tmp_path, capsys):
+        # beside the bridge the triangle's RK4 stages leave 1-2 and 2-0
+        # longer than their detours; the first step's result leaves 1-2 no
+        # shorter than its detour, so the scan at t=0.05 cuts it
+        weights = {(0, 1): 1, (1, 2): 1, (2, 0): 1, (2, 3): "1e16"}
+        argv = ["flow", "--kind", "lly", "--t-end", "0.1", "--dt", "0.05"]
+        code, _, out = self._run_bridge_graph(tmp_path, capsys, argv, weights)
+        assert code == EXIT_OK
+        _, rows = read_csv_rows(out / "flow_bridge_surgery.csv")
+        assert [(r["t"], r["edge_id"]) for r in rows] == [("0.05", "1-2")]
 
     def test_weights_past_unit_scale_are_numerical_error(self, tmp_path, capsys):
         # scaled to unit size, 1e-300 would underflow to 0
@@ -452,6 +460,15 @@ class TestFlowCommand:
         header, rows = read_csv_rows(tmp_path / "flow_cycle4_surgery.csv")
         assert header == ["t", "edge_id", "omega", "alt_distance"]
         assert len(rows) == 1
+
+    def test_lly_stage_past_a_detour_keeps_flowing(self, tmp_path):
+        # RK4 stages stretch edges past their detours (3-0 in the first
+        # step); they are read on the path metric, and no accepted state
+        # needs surgery
+        argv = ["flow", "--named", "cycle:4", "--kind", "lly", "--omega0", "1,1,1,2.5"]
+        assert main([*argv, "--t-end", "3", "--dt", "0.5", "--out", str(tmp_path)]) == EXIT_OK
+        _, rows = read_csv_rows(tmp_path / "flow_cycle4.csv")
+        assert len(rows) == 4 * 7 and os.listdir(tmp_path) == ["flow_cycle4.csv"]
 
     @pytest.mark.parametrize(
         "argv",

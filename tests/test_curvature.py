@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import ricciflow.curvature
 from ricciflow import (
-    DegenerateMetric,
     EpsilonTooLarge,
     MeasuredGraph,
     MetricAssignment,
@@ -22,6 +21,7 @@ from ricciflow import (
     lly_edge,
     lly_limit_estimate,
     lly_vector,
+    surgery_scan,
     wasserstein,
 )
 from conftest import (
@@ -198,21 +198,31 @@ class TestLLY:
         for e in g.edges:
             assert abs(lly_edge(g, w, e) - forman_edge(g, w, e)) < 1e-8
 
-    def test_degenerate_metric_rejected(self):
+    def test_non_strict_edge_is_its_vector_entry(self):
+        # 2-0 is no shorter than its detour; lly_edge still reads it from the
+        # one distance matrix lly_vector reads, bit for bit
         g = build_named_graph("cycle", 3)
         w = MetricAssignment.from_vector(g, [1.0, 1.0, 2.0])
-        with pytest.raises(DegenerateMetric):
-            lly_edge(g, w, g.edges[2])
+        values = lly_vector(g, w)
+        for i, (u, v) in enumerate(g.edges):
+            assert values[i] == lly_edge(g, w, (u, v)) == lly_edge(g, w, (v, u))
 
-    def test_vector_names_degenerate_edges(self):
-        g = build_named_graph("cycle", 3)
-        w = MetricAssignment.from_vector(g, [1.0, 1.0, 2.0])
-        with pytest.raises(DegenerateMetric, match=r"edges \['2-0'\]$"):
-            lly_vector(g, w)
-        with pytest.raises(DegenerateMetric, match=r"edges \['2-0'\]$"):
-            lly_edge(g, w, (0, 2))
-        # only the edge's own strictness matters to lly_edge
-        assert math.isfinite(lly_edge(g, w, g.edges[0]))
+    def test_non_strict_metric_reads_the_path_metric(self):
+        # the last chord, as long as every weight together, is longer than
+        # its detours, and spread weights may leave more edges so; the
+        # curvature reads them at their path distances, as the transport
+        # estimate and the whole-graph LP do
+        for seed in range(4):
+            rng = np.random.default_rng(60 + seed)
+            g = random_connected_graph(rng, 7, 4, uniform_measures=False)
+            values = rng.uniform(0.1, 5.0, g.n_edges)
+            values[-1] = values.sum()
+            w = MetricAssignment.from_vector(g, values)
+            assert g.n_edges - 1 in [i for i, _ in surgery_scan(g, w)]
+            kappa = lly_vector(g, w)
+            estimate = lly_limit_estimate(g, w)
+            assert np.all(np.abs(kappa - estimate) <= 1e-6 * (1.0 + np.abs(kappa)))
+            assert np.allclose(kappa, reference_lly_vector(g, w), rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize(
         "make_graph",

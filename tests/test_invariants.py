@@ -5,6 +5,10 @@ Every connected graph on 2-6 vertices in networkx's atlas (Read & Wilson,
 measures and metric, and once with m1 and m2 drawn from [0.5, 2) and
 omega = 1 + 0.2 * rand, from a generator seeded by the atlas index.  The
 set is exhaustive, so no sample can miss a counterexample.
+
+The Lin-Lu-Yau flow exists on every graph, so every connected non-tree
+graph on 3-5 vertices, 23 in all, flows to its end under four seeded
+initial metrics.
 """
 
 import networkx as nx
@@ -18,8 +22,10 @@ from ricciflow import (
     eigendecompose,
     forman_vector,
     is_tree,
+    lly_flow_integrate,
     lly_vector,
 )
+from ricciflow.cli import _flow_times
 from ricciflow.spectral import EIGEN_GAP_TOL
 
 ATLAS = [
@@ -27,6 +33,7 @@ ATLAS = [
     for i, h in enumerate(nx.graph_atlas_g())
     if 2 <= h.number_of_nodes() <= 6 and nx.is_connected(h)
 ]
+NON_TREES = [(i, h) for i, h in ATLAS if h.number_of_nodes() <= 5 and not nx.is_tree(h)]
 
 
 def atlas_case(index, h, measures):
@@ -43,6 +50,7 @@ def atlas_case(index, h, measures):
 
 def test_atlas_is_every_connected_graph_on_2_to_6_vertices():
     assert len(ATLAS) == 142
+    assert len(NON_TREES) == 23
 
 
 @pytest.mark.parametrize("measures", ["uniform", "random"])
@@ -64,3 +72,16 @@ def test_invariants(index, h, measures):
     if g.n_edges > 1:
         assert sd.eigenvalues[-1] - sd.eigenvalues[-2] > EIGEN_GAP_TOL
     assert np.all(sd.perron_vector > 0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("index, h", NON_TREES, ids=[f"G{i}" for i, _ in NON_TREES])
+def test_lly_flow_runs_to_its_end(index, h, seed):
+    # steps of 0.5 make RK4 stages that leave an edge longer than its
+    # detour; the curvature reads them on the path metric, and surgery
+    # cuts only accepted states
+    g, _ = atlas_case(index, h, "uniform")
+    omega0 = 0.5 + 1.5 * np.random.default_rng(seed).random(g.n_edges)
+    times = _flow_times(3.0, 0.5)
+    traj = lly_flow_integrate(g, MetricAssignment.from_vector(g, omega0), times)
+    assert traj.times == times.tolist()
