@@ -1,11 +1,10 @@
 """Discrete Ricci curvature and curvature flows on measured weighted graphs."""
 
 from .graph import (
-    DegenerateMetric,
     GraphError,
-    GraphParseError,
     MeasuredGraph,
     MetricAssignment,
+    NumericalFailure,
     SurgeryEvent,
     apply_surgery,
     build_named_graph,
@@ -18,7 +17,6 @@ from .graph import (
     surgery_scan,
 )
 from .curvature import (
-    EpsilonTooLarge,
     default_epsilon,
     forman_edge,
     forman_vector,
@@ -29,12 +27,9 @@ from .curvature import (
     wasserstein,
 )
 from .spectral import (
-    ConvergenceFailure,
     ConvergenceReport,
     FlowMatrix,
     InverseResult,
-    NotATree,
-    NotUniformMeasure,
     SpectralData,
     build_flow_matrix,
     classify_convergence,
@@ -47,7 +42,6 @@ from .spectral import (
 )
 from .flow import (
     FlowTrajectory,
-    StepSizeTooLarge,
     forman_flow_exact,
     lly_flow_integrate,
     normalized_trajectory,

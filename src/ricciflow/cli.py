@@ -5,7 +5,8 @@ All outputs are CSV/JSON data files written atomically under --out; floats
 are formatted to 12 significant digits so identical configs produce
 byte-identical files.
 
-Exit codes: 0 success, 2 input error, 3 numerical failure.
+Exit codes: 0 success, 2 input error (InputError, GraphError), 3 numerical
+failure (NumericalFailure).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .curvature import EpsilonTooLarge, forman_vector, lly_limit_estimate, lly_vector
+from .curvature import forman_vector, lly_limit_estimate, lly_vector
 from .flow import (
     FLOAT_FMT,
     atomic_write,
@@ -31,18 +32,16 @@ from .flow import (
     write_trajectory_csv,
 )
 from .graph import (
-    DegenerateMetric,
     GraphError,
     MeasuredGraph,
     MetricAssignment,
+    NumericalFailure,
     build_named_graph,
     edge_id,
     load_graph,
 )
 from .spectral import (
     DEFAULT_TOL_ZERO,
-    NotATree,
-    NotUniformMeasure,
     build_flow_matrix,
     classify_convergence,
     classify_tree_uniform,
@@ -115,10 +114,7 @@ def _resolve_graph(args):
             raise InputError(f"bad --named spec {args.named!r}") from exc
         m2_values = _parse_floats(args.m2, "--m2") if args.m2 else None
         mode = "uniform" if args.measure == "uniform" else "normalized_deg1"
-        try:
-            g = build_named_graph(family, n, measure_mode=mode, m2_values=m2_values)
-        except GraphError as exc:
-            raise InputError(str(exc)) from exc
+        g = build_named_graph(family, n, measure_mode=mode, m2_values=m2_values)
         name = f"{family}{n}"
     else:
         if args.m2:
@@ -127,8 +123,6 @@ def _resolve_graph(args):
             g, omega0 = load_graph(args.input)
         except OSError as exc:
             raise InputError(f"cannot read {args.input}: {exc}") from exc
-        except GraphError as exc:
-            raise InputError(str(exc)) from exc
         name = os.path.splitext(os.path.basename(args.input))[0]
     if args.omega0:
         vals = _parse_floats(args.omega0, "--omega0")
@@ -195,10 +189,8 @@ def _classify_payload(g, tol_zero):
         "lower": _fnum(report.bounds[0]),
         "upper": _fnum(report.bounds[1]),
     }
-    try:
-        payload["tree_case"] = classify_tree_uniform(g)
-    except (NotATree, NotUniformMeasure):
-        pass
+    if (tree_case := classify_tree_uniform(g)) is not None:
+        payload["tree_case"] = tree_case
     return payload
 
 
@@ -386,9 +378,7 @@ def main(argv=None):
         where = exc.filename2 or exc.filename or args.out
         print(f"error: cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (DegenerateMetric, EpsilonTooLarge, RuntimeError) as exc:
-        # ConvergenceFailure, StepSizeTooLarge and failed LPs are RuntimeErrors;
-        # EpsilonTooLarge means default_epsilon is 0, as a Deg(x) overflows
+    except NumericalFailure as exc:  # a valid input that floating point cannot answer
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -38,7 +38,7 @@ import math
 
 import numpy as np
 
-from .graph import _path_lengths, _unit_scale, deg_measure, edge_id
+from .graph import NumericalFailure, _path_lengths, _unit_scale, deg_measure, edge_id
 from .spectral import build_flow_matrix
 
 KERNEL_MASS_TOL = 1e-12
@@ -57,15 +57,13 @@ def _highs(what, c, **constraints):
         from scipy.optimize import linprog
     # linprog refuses a non-finite cost, and HiGHS reads one this large as infinite
     if not (np.abs(c) < HIGHS_INFINITE_COST).all():
-        raise RuntimeError(f"{what} failed: its objective overflows (an m2/m1 ratio is too large)")
+        raise NumericalFailure(
+            f"{what} failed: its objective overflows (an m2/m1 ratio is too large)"
+        )
     res = linprog(c, **constraints, method="highs", options=HIGHS_OPTIONS)
     if not (res.success and math.isfinite(res.fun)):
-        raise RuntimeError(f"{what} failed: {res.message}")
+        raise NumericalFailure(f"{what} failed: {res.message}")
     return float(res.fun)
-
-
-class EpsilonTooLarge(ValueError):
-    """Laziness parameter too large for a positive self-mass."""
 
 
 def forman_kappa(f, w):
@@ -95,8 +93,14 @@ def forman_edge(g, omega, e):
 
 
 def forman_vector(g, omega):
-    """Forman curvature of every edge, in edge order, from one flow matrix."""
-    return forman_kappa(build_flow_matrix(g).F, _unit_scale(omega.vector(g))[0])
+    """Forman curvature of every edge, in edge order, from one flow matrix;
+    NumericalFailure if one is past the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):  # raised just below
+        kappa = forman_kappa(build_flow_matrix(g).F, _unit_scale(omega.vector(g))[0])
+    bad = np.flatnonzero(~np.isfinite(kappa))
+    if bad.size:
+        raise NumericalFailure(f"Forman curvature of edge {edge_id(*g.edges[bad[0]])} overflows")
+    return kappa
 
 
 def kernel(g, x, eps):
@@ -104,23 +108,22 @@ def kernel(g, x, eps):
 
     Mass 1 - eps * Deg(x) stays at x, listed first; each neighbor y, in
     ``g.adjacency`` order, receives eps * m2(x, y) / m1(x).  Requires
-    0 < eps < 1 / Deg(x).
+    0 < eps < 1 / Deg(x) (ValueError otherwise); NumericalFailure if the
+    masses do not sum to 1 within KERNEL_MASS_TOL.
     """
     g.check_vertex(x)
     if eps <= 0.0:
-        raise EpsilonTooLarge("epsilon must be positive")
+        raise ValueError("epsilon must be positive")
     deg = deg_measure(g, x)
     if eps * deg >= 1.0:
-        raise EpsilonTooLarge(
-            f"epsilon {eps} >= 1/Deg({x!r}) = {1.0 / deg}"
-        )
+        raise ValueError(f"epsilon {eps} >= 1/Deg({x!r}) = {1.0 / deg}")
     vid = g.vertex_index
     nbrs, edges = zip(*g.adjacency[x])
     positions = np.array([vid[x], *(vid[y] for y in nbrs)])
     masses = np.concatenate([[1.0 - eps * deg], eps * g.m2[list(edges)] / g.m1[vid[x]]])
     total = float(np.sum(masses))
     if abs(total - 1.0) > KERNEL_MASS_TOL:
-        raise ValueError(f"kernel masses sum to {total}, expected 1")
+        raise NumericalFailure(f"kernel masses sum to {total}, expected 1")
     return positions, masses
 
 
@@ -145,11 +148,12 @@ def wasserstein(d, mu, nu):
 
 def _lly_lp(g, dist, x, y):
     # Curvature of the edge (x, y) at its path distance d = D(x, y), read
-    # with the rows below from the unit-scale distance matrix D: minimizes
-    # (Lap f(x) - Lap f(y)) / d over potentials f on S = B1(x) u B1(y) with
-    # f(x) = 0 and f(y) = d.  Exact: at every laziness this LP lies between
-    # the 1-Lipschitz dual on S and the two-potential Kantorovich dual, and
-    # both are W1(mu_x, mu_y).
+    # with the rows below from the unit-scale distance matrix D: the minimum
+    # of Lap f(x) - Lap f(y) over potentials f on S = B1(x) u B1(y) with
+    # f(x) = 0 and f(y) = d, divided by d.  Exact: at every laziness this LP
+    # lies between the 1-Lipschitz dual on S and the two-potential
+    # Kantorovich dual, and both are W1(mu_x, mu_y).  The costs carry no
+    # 1/d, so a short edge does not push them past HiGHS's infinite cost.
     vid = g.vertex_index
     d = float(dist[vid[x], vid[y]])
     ball_x = [vid[x], *(vid[z] for z, _ in g.adjacency[x])]
@@ -157,15 +161,15 @@ def _lly_lp(g, dist, x, y):
     s = np.unique(ball_x + ball_y)
     pos_x, pos_y = np.searchsorted(s, ball_x), np.searchsorted(s, ball_y)
 
-    # objective: (Lap f(x) - Lap f(y)) / d, linear in f
-    c = np.zeros(len(s))
+    # objective: Lap f(x) - Lap f(y), linear in f, summed in Python floats
+    # so that an overflow is an inf for _highs to refuse, not a numpy warning
+    c = [0.0] * len(s)
     for pos, base, sign in ((pos_x, x, 1.0), (pos_y, y, -1.0)):
-        # Python floats, so an overflow is an inf and not a numpy warning
-        inv_m1 = sign / (float(g.m1[vid[base]]) * d)
+        inv_m1 = sign / float(g.m1[vid[base]])
         for p, (_, j) in zip(pos[1:].tolist(), g.adjacency[base]):
-            m2v = float(g.m2[j])
-            c[p] += m2v * inv_m1
-            c[pos[0]] -= m2v * inv_m1
+            cost = float(g.m2[j]) * inv_m1
+            c[p] += cost
+            c[pos[0]] -= cost
 
     # one row f(b) - f(a) <= D(a, b) per pair a in B1(x), b in B1(y), a != b
     a, b = np.repeat(pos_x, len(pos_y)), np.tile(pos_y, len(pos_x))
@@ -182,7 +186,10 @@ def _lly_lp(g, dist, x, y):
     bounds[pos_y[0]] = d  # gradient normalization
 
     what = f"Lin-Lu-Yau LP of edge {edge_id(x, y)}"
-    return _highs(what, c, A_ub=a_ub, b_ub=b_ub, bounds=bounds)
+    kappa = _highs(what, np.array(c), A_ub=a_ub, b_ub=b_ub, bounds=bounds) / d
+    if not math.isfinite(kappa):  # a Python float quotient overflows to inf
+        raise NumericalFailure(f"{what} failed: its optimum over d = {d:g} overflows")
+    return kappa
 
 
 def _lly_values(g, omega, edges):
@@ -209,8 +216,13 @@ def lly_vector(g, omega):
 
 
 def default_epsilon(g):
-    """Laziness used for transport-oracle runs: 1 / (4 max Deg)."""
-    return 1.0 / (4.0 * max(deg_measure(g, x) for x in g.vertices))
+    """Laziness used for transport-oracle runs: 1 / (4 max Deg);
+    NumericalFailure if that is 0 or inf, as the largest Deg(x) is past the
+    float range or so small that its reciprocal is."""
+    eps = 1.0 / (4.0 * max(deg_measure(g, x) for x in g.vertices))
+    if not 0.0 < eps < math.inf:
+        raise NumericalFailure(f"default epsilon 1/(4 max Deg) is {eps:g}")
+    return eps
 
 
 def lly_limit_estimate(g, omega, eps=None):

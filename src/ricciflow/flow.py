@@ -8,7 +8,7 @@ integrated with classical RK4 plus surgery, one step from each sample time
 to the next; on trees the two curvatures coincide, which both speeds up the
 integrator and gives the exact solution as a cross-check.  Surgery never
 disconnects the graph.  Both flows take their sample times, checked by one
-rule, and end with ConvergenceFailure, naming the time, once a sample weight
+rule, and end with NumericalFailure, naming the time, once a sample weight
 leaves the normal float range [TINY, inf): below TINY it has lost
 precision, and a flow that carried on there would write wrong weights.  A
 trajectory keeps its samples as arrays in segments, one per edge set: the
@@ -23,22 +23,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curvature import forman_kappa, lly_vector
-from .graph import MetricAssignment, apply_surgery, edge_id, is_tree
-from .spectral import (
-    ConvergenceFailure,
-    build_flow_matrix,
-    eigendecompose,
-    flow_coefficients,
-)
+from .graph import MetricAssignment, NumericalFailure, apply_surgery, edge_id, is_tree
+from .spectral import build_flow_matrix, eigendecompose, flow_coefficients
 
 MAX_STEP_HALVINGS = 20
 FLOAT_FMT = "%.12g"  # 12 significant digits keep output files diff-stable
 CSV_BLOCK_SAMPLES = 256  # samples formatted by one % operation
 TINY = np.finfo(float).tiny  # the smallest normal float
-
-
-class StepSizeTooLarge(RuntimeError):
-    """RK4 step kept producing nonpositive weights after repeated halving."""
 
 
 @dataclass
@@ -114,7 +105,7 @@ def forman_flow_exact(g, omega0, times):
     omega(t) is the scale-free shape times exp(lambda_max t), so the sample
     at t = 0 is omega0 exactly; kappa is read from omega.  The linear flow
     is globally defined and positivity-preserving, so no surgery is
-    applied.  ConvergenceFailure if a weight leaves [TINY, inf), or a
+    applied.  NumericalFailure if a weight leaves [TINY, inf), or a
     curvature is not finite, at some time.
     """
     tarr = _sample_times(times)
@@ -158,10 +149,10 @@ def _rk4_step(kappa_fn, w, h):
 
 
 def _require_in_range(kind, times, w, kappa=0.0):
-    # ConvergenceFailure at the first time whose w leaves [TINY, inf) or kappa is not finite
+    # NumericalFailure at the first time whose w leaves [TINY, inf) or kappa is not finite
     ok = np.atleast_1d(((w >= TINY) & (w < np.inf) & np.isfinite(kappa)).all(axis=-1))
     if not ok.all():
-        raise ConvergenceFailure(
+        raise NumericalFailure(
             f"{kind} flow leaves the floating-point range at t={times[ok.argmin()]:g}"
         )
 
@@ -177,7 +168,7 @@ def _advance(kappa_fn, w, dt):
                 break
         else:
             return state
-    raise StepSizeTooLarge(
+    raise NumericalFailure(
         f"weights stayed nonpositive after {MAX_STEP_HALVINGS} halvings of dt={dt}"
     )
 
@@ -188,7 +179,7 @@ def lly_flow_integrate(g, omega0, times):
     The state at each sample time, t=0 included if listed, is reached by one
     ``_advance`` from the previous one, then scanned for surgery and
     sampled.  Removed edges restart the system on the reduced graph in a
-    new segment.  ConvergenceFailure if a weight at a sample time leaves
+    new segment.  NumericalFailure if a weight at a sample time leaves
     [TINY, inf), or a curvature there is not finite.
     """
     times = _sample_times(times)

@@ -34,15 +34,11 @@ COMPLETE = "complete"
 
 
 class GraphError(ValueError):
-    """Invalid graph construction or query."""
+    """Invalid graph construction, query or file: a bad input."""
 
 
-class GraphParseError(GraphError):
-    """Malformed graph file."""
-
-
-class DegenerateMetric(ValueError):
-    """Weights too far apart to scale exactly to unit size."""
+class NumericalFailure(RuntimeError):
+    """A valid input whose answer floating point cannot reach."""
 
 
 def edge_id(u, v):
@@ -268,12 +264,12 @@ def deg_measure(g, x):
 
 def _unit_scale(x):
     """(x / 2**k, k), k = floor(log2(max x)): exact, the largest in [1, 2);
-    DegenerateMetric if an entry has no exact image, its span past the float range."""
+    NumericalFailure if an entry has no exact image, its span past the float range."""
     k = math.frexp(float(np.max(x)))[1] - 1
     scaled = np.ldexp(x, -k)
     if not np.array_equal(np.ldexp(scaled, k), x):
         lo, hi = np.min(x[x > 0]), np.max(x)
-        raise DegenerateMetric(f"values span {lo:g} to {hi:g}, too far apart to scale exactly")
+        raise NumericalFailure(f"values span {lo:g} to {hi:g}, too far apart to scale exactly")
     return scaled, k
 
 
@@ -362,9 +358,9 @@ def _parse_finite(token, what, line):
     try:
         x = float(token)
     except ValueError as exc:
-        raise GraphParseError(f"bad {what}: {line!r}") from exc
+        raise GraphError(f"bad {what}: {line!r}") from exc
     if not math.isfinite(x):
-        raise GraphParseError(f"{what} must be finite: {line!r}")
+        raise GraphError(f"{what} must be finite: {line!r}")
     return x
 
 
@@ -384,14 +380,14 @@ def parse_graph_text(text):
         if line:
             lines.append(line)
     if not lines:
-        raise GraphParseError("empty graph file")
+        raise GraphError("empty graph file")
     head = lines[0].split()
     if len(head) != 3 or head[0] != "graph":
-        raise GraphParseError(f"bad header line: {lines[0]!r}")
+        raise GraphError(f"bad header line: {lines[0]!r}")
     try:
         nv, ne = int(head[1]), int(head[2])
     except ValueError as exc:
-        raise GraphParseError(f"bad header counts: {lines[0]!r}") from exc
+        raise GraphError(f"bad header counts: {lines[0]!r}") from exc
 
     vertices, edges = [], []
     m1, m2, w0 = [], [], []
@@ -399,33 +395,30 @@ def parse_graph_text(text):
         parts = line.split()
         if parts[0] == "vertex":
             if len(parts) != 3:
-                raise GraphParseError(f"bad vertex line: {line!r}")
+                raise GraphError(f"bad vertex line: {line!r}")
             if any(c in parts[1] for c in ',"-'):
-                raise GraphParseError(f"vertex id holds ',', '\"' or '-': {line!r}")
+                raise GraphError(f"vertex id holds ',', '\"' or '-': {line!r}")
             m1.append(_parse_finite(parts[2], "vertex measure", line))
             vertices.append(parts[1])
         elif parts[0] == "edge":
             if len(parts) not in (4, 5):
-                raise GraphParseError(f"bad edge line: {line!r}")
+                raise GraphError(f"bad edge line: {line!r}")
             m2.append(_parse_finite(parts[3], "edge measure", line))
             if len(parts) == 5:
                 w0.append(_parse_finite(parts[4], "edge omega0", line))
             edges.append((parts[1], parts[2]))
         else:
-            raise GraphParseError(f"unexpected line: {line!r}")
+            raise GraphError(f"unexpected line: {line!r}")
 
     if len(vertices) != nv:
-        raise GraphParseError(f"header says {nv} vertices, found {len(vertices)}")
+        raise GraphError(f"header says {nv} vertices, found {len(vertices)}")
     if len(edges) != ne:
-        raise GraphParseError(f"header says {ne} edges, found {len(edges)}")
-    try:
-        g = MeasuredGraph(tuple(vertices), tuple(edges), m1, m2)
-    except GraphError as exc:
-        raise GraphParseError(str(exc)) from exc
+        raise GraphError(f"header says {ne} edges, found {len(edges)}")
+    g = MeasuredGraph(tuple(vertices), tuple(edges), m1, m2)
     if not w0:
         return g, None
     if len(w0) != ne:
-        raise GraphParseError("omega0 given for some edges but not all")
+        raise GraphError("omega0 given for some edges but not all")
     return g, MetricAssignment.from_vector(g, w0)
 
 
@@ -436,4 +429,4 @@ def load_graph(path):
     try:
         return parse_graph_text(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
-        raise GraphParseError(f"not UTF-8 text at byte {exc.start}: {path}") from exc
+        raise GraphError(f"not UTF-8 text at byte {exc.start}: {path}") from exc

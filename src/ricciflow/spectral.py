@@ -6,6 +6,8 @@ irreducible with nonnegative off-diagonal, so its top eigenvalue is simple
 with a positive eigenvector; that Perron pair determines the long-time
 behavior of the flow and the limiting normalized metric.  Per-edge inputs
 and outputs (omega, target curvatures, the limit) are arrays in edge order.
+A flow matrix that overflows, Jacobi sweeps that do not converge and a top
+eigenvalue that is not numerically simple raise NumericalFailure.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import GraphError, MetricAssignment, is_tree
+from .graph import GraphError, MetricAssignment, NumericalFailure, is_tree
 
 VANISHING = "vanishing"
 CONSTANT_METRIC = "constant_metric"
@@ -29,23 +31,6 @@ JACOBI_OFFDIAG_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 100
 EIGEN_GAP_TOL = 1e-10
 DEFAULT_TOL_ZERO = 1e-9
-
-
-class ConvergenceFailure(RuntimeError):
-    """No finite spectral answer: the flow matrix overflowed, or Jacobi sweeps
-    did not drive the off-diagonal norm below tolerance."""
-
-
-class EigenvalueGapTooSmall(RuntimeError):
-    """Top eigenvalue not numerically simple; signals corrupted input."""
-
-
-class NotATree(ValueError):
-    pass
-
-
-class NotUniformMeasure(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -96,7 +81,7 @@ def build_flow_matrix(g):
     F[i, j] = m2(e_j) / m1(x) for edges e_i != e_j meeting at x, and
     F[i, i] = -(m2/m1(u) + m2/m1(v)) for e_i = (u, v): B^T (B m2 / m1) with
     its diagonal negated, B the 0/1 vertex-edge incidence, exact as a simple
-    graph's edges share at most one vertex.  ConvergenceFailure if an entry
+    graph's edges share at most one vertex.  NumericalFailure if an entry
     of F or Ftilde overflows, so no command reads an inf.
     """
     n, m2 = g.n_edges, g.m2
@@ -109,7 +94,7 @@ def build_flow_matrix(g):
         ftilde = sqrt_m2[:, None] * f * (1.0 / sqrt_m2)[None, :]
         ftilde = 0.5 * (ftilde + ftilde.T)  # kill rounding asymmetry
     if not (np.isfinite(f).all() and np.isfinite(ftilde).all()):
-        raise ConvergenceFailure("flow matrix overflows: an m2/m1 ratio is too large")
+        raise NumericalFailure("flow matrix overflows: an m2/m1 ratio is too large")
     return FlowMatrix(F=f, sqrt_m2=sqrt_m2, Ftilde=ftilde)
 
 
@@ -191,9 +176,7 @@ def jacobi_eigh(a, tol=JACOBI_OFFDIAG_TOL, max_sweeps=JACOBI_MAX_SWEEPS):
     n = a.shape[0]
     av = np.vstack((a, np.eye(n)))
     if _jacobi_sweeps(av, tol, max_sweeps) < 0:
-        raise ConvergenceFailure(
-            f"Jacobi did not converge in {max_sweeps} sweeps"
-        )
+        raise NumericalFailure(f"Jacobi did not converge in {max_sweeps} sweeps")
     w = np.diag(av[:n]).copy()
     order = np.argsort(w, kind="stable")
     return w[order], av[n:, order]
@@ -221,12 +204,12 @@ def eigendecompose(fm):
     if len(w) > 1:
         gap = w[-1] - w[-2]
         if gap <= EIGEN_GAP_TOL:
-            raise EigenvalueGapTooSmall(
+            raise NumericalFailure(
                 f"top eigenvalue gap {gap} below {EIGEN_GAP_TOL}; "
                 "input is not a valid connected flow matrix"
             )
         if np.any(top <= 0):
-            raise EigenvalueGapTooSmall(
+            raise NumericalFailure(
                 "Perron eigenvector has nonpositive entries; input corrupted"
             )
     return SpectralData(eigenvalues=w, eigenvectors=p)
@@ -313,12 +296,11 @@ def classify_tree_uniform(g):
 
     Paths shrink (positive limiting curvature), K_{1,3} is the balanced
     case (curvature 0), every other tree with a degree >= 3 vertex blows
-    up (negative limiting curvature).
+    up (negative limiting curvature).  None unless g is a tree with
+    m1 = m2 = 1.
     """
-    if not is_tree(g):
-        raise NotATree("graph is not a tree")
-    if np.any(g.m1 != 1.0) or np.any(g.m2 != 1.0):
-        raise NotUniformMeasure("tree classification needs m1 = m2 = 1")
+    if not is_tree(g) or np.any(g.m1 != 1.0) or np.any(g.m2 != 1.0):
+        return None
     degrees = sorted(g.degree(x) for x in g.vertices)
     if degrees[-1] <= 2:
         return PATH_CASE

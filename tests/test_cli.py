@@ -1,8 +1,10 @@
 import hashlib
+import importlib
 import json
 import math
 import os
 import pathlib
+import pkgutil
 import signal
 import subprocess
 import sys
@@ -194,6 +196,25 @@ class TestCurvatureCommand:
         assert main([*argv, "--out", str(out)]) == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert "span 1e-300 to 1e+300, too far apart to scale exactly" in err
+        assert os.listdir(out) == []
+
+    def test_short_edge_is_read(self, tmp_path):
+        # at unit scale d(0-1) is about 1e-25; the Lin-Lu-Yau LP's costs carry
+        # no 1/d, so they stay below HiGHS's infinite cost
+        argv = ["curvature", "--named", "cycle:4", "--omega0", "1e-25,1,1,1"]
+        assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+        _, rows = read_csv_rows(tmp_path / "curvature_cycle4.csv")
+        for row in rows:
+            lly, estimate = float(row["lly"]), float(row["lly_limit_estimate"])
+            assert abs(lly - estimate) <= 1e-6 * (1 + abs(lly))
+        assert float(rows[0]["lly"]) == pytest.approx(3.0 - 1e25, rel=1e-9)
+
+    def test_curvature_past_float_range_is_numerical_error(self, tmp_path, capsys):
+        # at unit scale d(0-1) = 1e-320, so kappa(0-1) is about -1e320
+        out = tmp_path / "out"
+        argv = ["curvature", "--named", "cycle:4", "--omega0", "1e-320,1,1,1"]
+        assert main([*argv, "--out", str(out)]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == "numerical failure: Forman curvature of edge 0-1 overflows\n"
         assert os.listdir(out) == []
 
     def test_both_sources_rejected(self, tmp_path):
@@ -854,6 +875,10 @@ def overflow_cases(graph, kappa):
     return [(graph, argv) for argv in commands]
 
 
+# a single edge whose Deg = 1e-310 has no finite default epsilon 1/(4 Deg)
+TINY_DEG_GRAPH = "graph 2 1\nvertex a 1e10\nvertex b 1e10\nedge a b 1e-300\n"
+
+
 # a path a-b-c whose m2/m1(c) = 1e25 passes HiGHS's infinite cost, 1e20, in
 # the objective of the Lin-Lu-Yau LP of edge b-c
 LEAF_COST_GRAPH = "graph 3 2\nvertex a 1\nvertex b 1\nvertex c 1e-25\nedge a b 1\nedge b c 1\n"
@@ -921,6 +946,11 @@ class TestDegenerateGraphFile:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
 
+    def test_vanishing_degree_is_numerical_error(self, tmp_path, capsys):
+        assert self._run(tmp_path, TINY_DEG_GRAPH, ["curvature"]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: default epsilon") and err.count("\n") == 1
+
     def test_graph_file_that_is_not_utf8_is_input_error(self, tmp_path, capsys):
         graph = tmp_path / "bytes.graph"
         graph.write_bytes(b"graph 2 1\nvertex \xff 1\n")
@@ -940,6 +970,29 @@ SHARED_PARSER_CASES = {
         ["classify", "--named", "path:5"],
     ],
 }
+
+
+class TestErrorModel:
+    def test_one_exception_class_per_exit_code(self):
+        # exit 2 is InputError or GraphError, exit 3 NumericalFailure
+        modules = [ricciflow] + [
+            importlib.import_module(m.name)
+            for m in pkgutil.iter_modules(ricciflow.__path__, "ricciflow.")
+        ]
+        defined = {
+            f"{obj.__module__}.{obj.__qualname__}"
+            for module in modules
+            for obj in vars(module).values()
+            if isinstance(obj, type)
+            and issubclass(obj, BaseException)
+            and obj.__module__ == module.__name__
+        }
+        assert defined == {
+            "ricciflow.cli.InputError",
+            "ricciflow.graph.GraphError",
+            "ricciflow.graph.NumericalFailure",
+        }
+        assert ricciflow.NumericalFailure is ricciflow.graph.NumericalFailure
 
 
 class TestSharedParser:

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 import ricciflow.curvature
 from ricciflow import (
-    EpsilonTooLarge,
     MeasuredGraph,
     MetricAssignment,
+    NumericalFailure,
     build_named_graph,
     deg_measure,
     default_epsilon,
@@ -139,8 +139,18 @@ class TestKernel:
 
     def test_epsilon_too_large(self):
         g = build_named_graph("star", 3)
-        with pytest.raises(EpsilonTooLarge):
+        with pytest.raises(ValueError):
             kernel(g, 0, 0.5)  # Deg(center) = 3
+
+    @pytest.mark.parametrize(
+        "m1, m2", [([3e-308, 1e9, 1e9, 1e9], 1.8), ([1e10] * 4, 1e-300)], ids=["inf", "zero"]
+    )
+    def test_degree_past_float_range_has_no_default_epsilon(self, m1, m2):
+        # Deg(0) = 3 * 1.8 / 3e-308 overflows; Deg(x) <= 3e-310 has no finite 1/(4 Deg)
+        edges = ((0, 1), (0, 2), (0, 3))
+        g = MeasuredGraph((0, 1, 2, 3), edges, m1, [m2] * 3)
+        with pytest.raises(NumericalFailure, match=r"^default epsilon 1/\(4 max Deg\) is (0|inf)$"):
+            default_epsilon(g)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_masses_valid(self, seed):
@@ -178,6 +188,15 @@ class TestWasserstein:
 
 
 class TestLLY:
+    def test_curvature_past_float_range_is_a_failure(self):
+        # at d(0-1) = 1e-320 the optimum over d overflows
+        g = build_named_graph("cycle", 4)
+        w = MetricAssignment.from_vector(g, [1e-320, 1.0, 1.0, 1.0])
+        with pytest.raises(NumericalFailure, match=r"^Lin-Lu-Yau LP of edge 0-1 failed: its optimum"):
+            lly_edge(g, w, (0, 1))
+        with pytest.raises(NumericalFailure, match=r"^Forman curvature of edge 0-1 overflows$"):
+            forman_vector(g, w)
+
     def test_triangle(self):
         g = build_named_graph("cycle", 3)
         w = MetricAssignment.uniform(g)
@@ -251,9 +270,9 @@ class TestLLY:
         monkeypatch.setattr(ricciflow.curvature, "linprog", lambda *a, **k: failed)
         g = build_named_graph("cycle", 3)
         w = MetricAssignment.uniform(g)
-        with pytest.raises(RuntimeError, match=r"^Lin-Lu-Yau LP of edge 0-1 failed: no optimum$"):
+        with pytest.raises(NumericalFailure, match=r"^Lin-Lu-Yau LP of edge 0-1 failed: no optimum$"):
             lly_edge(g, w, (1, 0))
-        with pytest.raises(RuntimeError, match=r"^transport LP failed: no optimum$"):
+        with pytest.raises(NumericalFailure, match=r"^transport LP failed: no optimum$"):
             lly_limit_estimate(g, w)
 
     def test_infinite_optimum_is_a_failure(self, monkeypatch):
@@ -261,7 +280,7 @@ class TestLLY:
         infinite = types.SimpleNamespace(success=True, message="Optimal", fun=math.inf)
         monkeypatch.setattr(ricciflow.curvature, "linprog", lambda *a, **k: infinite)
         g = build_named_graph("cycle", 3)
-        with pytest.raises(RuntimeError, match=r"^Lin-Lu-Yau LP of edge 0-1 failed: Optimal$"):
+        with pytest.raises(NumericalFailure, match=r"^Lin-Lu-Yau LP of edge 0-1 failed: Optimal$"):
             lly_edge(g, MetricAssignment.uniform(g), (0, 1))
 
     def test_lps_are_local_to_the_edge(self, monkeypatch):

@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 
 import ricciflow.spectral
 from ricciflow import (
-    ConvergenceFailure,
     FlowMatrix,
     GraphError,
     MeasuredGraph,
-    NotATree,
-    NotUniformMeasure,
+    NumericalFailure,
     build_flow_matrix,
     build_named_graph,
     classify_convergence,
@@ -32,10 +30,10 @@ from ricciflow.spectral import (
     DEFAULT_TOL_ZERO,
     DIVERGENT,
     EIGEN_GAP_TOL,
-    EigenvalueGapTooSmall,
     K13_CASE,
     PATH_CASE,
     VANISHING,
+    _perron_eigh,
     _round_robin,
 )
 from conftest import (
@@ -182,7 +180,7 @@ class TestEigendecompose:
         m = np.random.default_rng(12).normal(size=(6, 6))
         m = m + m.T
         jacobi_eigh(m)  # converges with the default sweep limit
-        with pytest.raises(ConvergenceFailure, match="did not converge in 1 sweeps"):
+        with pytest.raises(NumericalFailure, match="did not converge in 1 sweeps"):
             jacobi_eigh(m, max_sweeps=1)
 
     @pytest.mark.parametrize(
@@ -193,8 +191,20 @@ class TestEigendecompose:
     def test_rejects_a_matrix_of_no_connected_graph(self, diag, message):
         ftilde = np.diag(diag)
         fm = FlowMatrix(F=ftilde, sqrt_m2=np.ones(2), Ftilde=ftilde)
-        with pytest.raises(EigenvalueGapTooSmall, match=message):
+        with pytest.raises(NumericalFailure, match=message):
             eigendecompose(fm)
+
+    def test_perron_sign_flip(self):
+        # Jacobi returns this matrix's top eigenvector as (-1, 1)/sqrt(2), whose
+        # largest-magnitude entry (the first, on a tie) is negative
+        a = np.array([[0.0, -1.0], [-1.0, 0.0]])
+        w_raw, raw = jacobi_eigh(a)
+        assert raw[0, -1] < 0 and abs(raw[0, -1]) == abs(raw[1, -1])
+        w, p = _perron_eigh(a)
+        top = p[:, -1]
+        assert top[np.argmax(np.abs(top))] > 0
+        assert np.array_equal(top, -raw[:, -1]) and np.array_equal(p[:, :-1], raw[:, :-1])
+        assert np.array_equal(w, w_raw) and w == pytest.approx([-1.0, 1.0])
 
 
 def _symmetric_matrices(n, rng):
@@ -464,11 +474,10 @@ class TestTreeClassification:
         assert w[-1] > 2.17
 
     def test_errors(self):
-        with pytest.raises(NotATree):
-            classify_tree_uniform(build_named_graph("cycle", 4))
+        # outside its domain, a tree with m1 = m2 = 1, there is no tree case
+        assert classify_tree_uniform(build_named_graph("cycle", 4)) is None
         g = build_named_graph("star", 3, "normalized_deg1", m2_values=[1.0, 2.0, 3.0])
-        with pytest.raises(NotUniformMeasure):
-            classify_tree_uniform(g)
+        assert classify_tree_uniform(g) is None
 
     @pytest.mark.parametrize("seed", range(10))
     def test_agrees_with_lambda_sign(self, seed):
