@@ -5,8 +5,8 @@ All outputs are CSV/JSON data files written atomically under --out; floats
 are formatted to 12 significant digits so identical configs produce
 byte-identical files.
 
-Exit codes: 0 success, 2 input error (InputError, GraphError), 3 numerical
-failure (NumericalFailure).
+Exit codes: 0 success, 2 input error (GraphError), 3 numerical failure
+(NumericalFailure).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .graph import (
     load_graph,
 )
 from .spectral import (
-    DEFAULT_TOL_ZERO,
+    DEFAULT_INVERSE_TOL,
     build_flow_matrix,
     classify_convergence,
     classify_tree_uniform,
@@ -65,10 +65,6 @@ FLOW_FIGURES = {
 FIGURE_IDS = ("fig1a", "fig1b", "fig1c", "fig1d", "fig2", "ex42", "ex43")
 
 
-class InputError(Exception):
-    pass
-
-
 def _fnum(x):
     # round-trip through 12 significant digits for diff-stable output
     return float(FLOAT_FMT % float(x))
@@ -83,17 +79,9 @@ def _finite_float(value, what):
     try:
         x = float(value)
     except ValueError as exc:
-        raise InputError(f"bad {what} value: {value!r}") from exc
+        raise GraphError(f"bad {what} value: {value!r}") from exc
     if not math.isfinite(x):
-        raise InputError(f"{what} must be finite, got {value!r}")
-    return x
-
-
-def _nonnegative_float(value, what):
-    """_finite_float(value); a negative value is an input error too."""
-    x = _finite_float(value, what)
-    if x < 0:
-        raise InputError(f"{what} must be nonnegative, got {value!r}")
+        raise GraphError(f"{what} must be finite, got {value!r}")
     return x
 
 
@@ -104,30 +92,30 @@ def _parse_floats(text, what):
 def _resolve_graph(args):
     """Build (graph, omega0, name) from --named or --input."""
     if bool(args.named) == bool(args.input):
-        raise InputError("exactly one of --named or --input is required")
+        raise GraphError("exactly one of --named or --input is required")
     omega0 = None
     if args.named:
         try:
             family, _, count = args.named.partition(":")
             n = int(count)
         except ValueError as exc:
-            raise InputError(f"bad --named spec {args.named!r}") from exc
+            raise GraphError(f"bad --named spec {args.named!r}") from exc
         m2_values = _parse_floats(args.m2, "--m2") if args.m2 else None
         mode = "uniform" if args.measure == "uniform" else "normalized_deg1"
         g = build_named_graph(family, n, measure_mode=mode, m2_values=m2_values)
         name = f"{family}{n}"
     else:
         if args.m2:
-            raise InputError("--m2 only applies to --named graphs")
+            raise GraphError("--m2 only applies to --named graphs")
         try:
             g, omega0 = load_graph(args.input)
         except OSError as exc:
-            raise InputError(f"cannot read {args.input}: {exc}") from exc
+            raise GraphError(f"cannot read {args.input}: {exc}") from exc
         name = os.path.splitext(os.path.basename(args.input))[0]
     if args.omega0:
         vals = _parse_floats(args.omega0, "--omega0")
         if len(vals) != g.n_edges:
-            raise InputError(
+            raise GraphError(
                 f"--omega0 needs {g.n_edges} values, got {len(vals)}"
             )
         omega0 = MetricAssignment.from_vector(g, vals)
@@ -182,8 +170,8 @@ def _limit_payload(g, report):
     }
 
 
-def _classify_payload(g, tol_zero):
-    report = classify_convergence(g, tol_zero=tol_zero)
+def _classify_payload(g):
+    report = classify_convergence(g)
     payload = _limit_payload(g, report)
     payload["bounds"] = {
         "lower": _fnum(report.bounds[0]),
@@ -197,7 +185,7 @@ def _classify_payload(g, tol_zero):
 def cmd_classify(args):
     g, _, name = _resolve_graph(args)
     out = os.path.join(args.out, f"classify_{name}.json")
-    _write_json(out, _classify_payload(g, _nonnegative_float(args.tol_zero, "--tol-zero")))
+    _write_json(out, _classify_payload(g))
     print(out)
     return EXIT_OK
 
@@ -214,11 +202,11 @@ def cmd_flow(args):
     t_end = _finite_float(args.t_end, "--t-end")
     dt = _finite_float(args.dt, "--dt")
     if t_end < 0:
-        raise InputError("--t-end must be nonnegative")
+        raise GraphError("--t-end must be nonnegative")
     if dt <= 0:
-        raise InputError("--dt must be positive")
+        raise GraphError("--dt must be positive")
     if t_end / dt > MAX_FLOW_STEPS:
-        raise InputError(f"--t-end / --dt must be at most {MAX_FLOW_STEPS} steps")
+        raise GraphError(f"--t-end / --dt must be at most {MAX_FLOW_STEPS} steps")
     flow = forman_flow_exact if args.kind == "forman" else lly_flow_integrate
     traj = flow(g, omega0, _flow_times(t_end, dt))
     out = os.path.join(args.out, f"flow_{name}.csv")
@@ -235,8 +223,11 @@ def cmd_inverse(args):
     g, _, name = _resolve_graph(args)
     vals = _parse_floats(args.kappa, "--kappa")
     if len(vals) != g.n_edges:
-        raise InputError(f"--kappa needs {g.n_edges} values, got {len(vals)}")
-    result = inverse_curvature(g, vals, tol=_nonnegative_float(args.tol, "--tol"))
+        raise GraphError(f"--kappa needs {g.n_edges} values, got {len(vals)}")
+    tol = _finite_float(args.tol, "--tol")
+    if tol < 0:
+        raise GraphError(f"--tol must be nonnegative, got {tol!r}")
+    result = inverse_curvature(g, vals, tol=tol)
     payload = {"lambda_max_K": _fnum(result.lambda_max)}
     if result.metric is None:
         payload["solvable"] = False
@@ -340,22 +331,19 @@ def build_parser():
 
     p = sub.add_parser("classify", help="long-time convergence report")
     add_graph_options(p)
-    p.add_argument(
-        "--tol-zero", type=float, default=DEFAULT_TOL_ZERO, help="tolerance for the zero class"
-    )
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("flow", help="evolve a curvature flow, export trajectory CSV")
     add_graph_options(p)
     p.add_argument("--kind", choices=("forman", "lly"), default="forman")
-    p.add_argument("--t-end", type=float, default=5.0)
-    p.add_argument("--dt", type=float, default=1e-3)
+    p.add_argument("--t-end", default=5.0)
+    p.add_argument("--dt", default=1e-3)
     p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("inverse", help="prescribed-curvature problem")
     add_graph_options(p)
     p.add_argument("--kappa", required=True, help="comma-separated target curvatures")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL_ZERO)
+    p.add_argument("--tol", default=DEFAULT_INVERSE_TOL)
     p.set_defaults(func=cmd_inverse)
 
     p = sub.add_parser("reproduce", help="regenerate simulation/example data files")
@@ -371,10 +359,10 @@ def main(argv=None):
     try:
         os.makedirs(args.out, exist_ok=True)  # every subcommand has --out
         return args.func(args)
-    except (InputError, GraphError) as exc:
+    except GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except OSError as exc:  # an unusable --out; an unreadable --input is an InputError
+    except OSError as exc:  # an unusable --out; an unreadable --input is a GraphError
         where = exc.filename2 or exc.filename or args.out
         print(f"error: cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -34,7 +34,7 @@ COMPLETE = "complete"
 
 
 class GraphError(ValueError):
-    """Invalid graph construction, query or file: a bad input."""
+    """Invalid graph construction, query, file or command-line option: a bad input."""
 
 
 class NumericalFailure(RuntimeError):

@@ -6,8 +6,14 @@ irreducible with nonnegative off-diagonal, so its top eigenvalue is simple
 with a positive eigenvector; that Perron pair determines the long-time
 behavior of the flow and the limiting normalized metric.  Per-edge inputs
 and outputs (omega, target curvatures, the limit) are arrays in edge order.
-A flow matrix that overflows, Jacobi sweeps that do not converge and a top
-eigenvalue that is not numerically simple raise NumericalFailure.
+Every eigensolve runs at unit scale: the matrix is scaled exactly by the
+power of two that puts its largest magnitude in [2, 4), where Jacobi's
+stopping test bounds each eigenvalue's error by JACOBI_OFFDIAG_TOL (Weyl's
+inequality).  So with rho = max |lambda|, lambda_max is zero within
+JACOBI_OFFDIAG_TOL * rho, a top gap must exceed EIGEN_GAP_TOL * rho, and
+scaling m1 or m2 by a power of two scales the eigenvalues exactly.  An
+overflow, Jacobi sweeps that do not converge and a top eigenvalue that is
+not numerically simple raise NumericalFailure.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ BIG_DEGREE_CASE = "big_degree_case"
 JACOBI_OFFDIAG_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 100
 EIGEN_GAP_TOL = 1e-10
-DEFAULT_TOL_ZERO = 1e-9
+DEFAULT_INVERSE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -183,12 +189,16 @@ def jacobi_eigh(a, tol=JACOBI_OFFDIAG_TOL, max_sweeps=JACOBI_MAX_SWEEPS):
 
 
 def _perron_eigh(a):
-    # the package's one eigensolve: ascending eigenpairs of the symmetric a,
-    # with the top eigenvector's largest-magnitude entry made positive
-    w, p = jacobi_eigh(a)
+    # the one eigensolve: ascending eigenpairs, top vector's largest entry positive
+    k = 2 - np.frexp(np.max(np.abs(a)))[1]  # 2**k * max |a| in [2, 4)
+    w, p = jacobi_eigh(np.ldexp(a, k))
     top = p[:, -1]
     if top[np.argmax(np.abs(top))] < 0:
         p[:, -1] = -top
+    with np.errstate(over="ignore"):  # an overflow is raised just below
+        w = np.ldexp(w, -k)
+    if not np.isfinite(w).all():
+        raise NumericalFailure("an eigenvalue overflows the float range")
     return w, p
 
 
@@ -202,10 +212,10 @@ def eigendecompose(fm):
     w, p = _perron_eigh(fm.Ftilde)
     top = p[:, -1]
     if len(w) > 1:
-        gap = w[-1] - w[-2]
-        if gap <= EIGEN_GAP_TOL:
+        gap, floor = w[-1] - w[-2], EIGEN_GAP_TOL * np.max(np.abs(w))
+        if gap <= floor:
             raise NumericalFailure(
-                f"top eigenvalue gap {gap} below {EIGEN_GAP_TOL}; "
+                f"top eigenvalue gap {gap} below {floor}; "
                 "input is not a valid connected flow matrix"
             )
         if np.any(top <= 0):
@@ -231,11 +241,12 @@ def curvature_bounds(g):
     return build_flow_matrix(g).bounds()
 
 
-def classify_convergence(g, tol_zero=DEFAULT_TOL_ZERO):
+def classify_convergence(g):
     """Classify the long-time behavior of the Forman flow on g.
 
-    vanishing if lambda_max < -tol_zero, constant_metric if
-    |lambda_max| <= tol_zero, divergent otherwise.  The limiting
+    With the eigensolve's own error bound as the zero band,
+    band = JACOBI_OFFDIAG_TOL * max |lambda|: vanishing if lambda_max < -band,
+    constant_metric if |lambda_max| <= band, divergent otherwise.  The limiting
     normalized metric is the Perron direction pulled back through M.
     The result depends only on the graph and its measures: every positive
     initial metric has the same limit.
@@ -243,9 +254,10 @@ def classify_convergence(g, tol_zero=DEFAULT_TOL_ZERO):
     fm = build_flow_matrix(g)
     sd = eigendecompose(fm)
     lam = sd.lambda_max
-    if lam < -tol_zero:
+    band = JACOBI_OFFDIAG_TOL * np.max(np.abs(sd.eigenvalues))
+    if lam < -band:
         classification = VANISHING
-    elif lam <= tol_zero:
+    elif lam <= band:
         classification = CONSTANT_METRIC
     else:
         classification = DIVERGENT
@@ -267,7 +279,7 @@ class InverseResult:
     lambda_max: float  # of K = Ftilde + diag(kappa)
 
 
-def inverse_curvature(g, kappa_target, tol=DEFAULT_TOL_ZERO):
+def inverse_curvature(g, kappa_target, tol=DEFAULT_INVERSE_TOL):
     """Find a positive metric realizing the target Forman curvature vector.
 
     ``kappa_target`` holds one curvature per edge, in edge order.  Builds

@@ -17,6 +17,7 @@ import ricciflow.cli
 import ricciflow.curvature
 import ricciflow.flow
 import ricciflow.graph
+from ricciflow import classify_convergence, load_graph
 from ricciflow.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, build_parser, main
 from conftest import SMALL_WEIGHT_FLOWS, random_connected_graph
 
@@ -25,6 +26,12 @@ def read_csv_rows(path):
     lines = path.read_text().strip().splitlines()
     header = lines[0].split(",")
     return header, [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+
+
+def path3_graph(m1):
+    """Graph file text of the path a-b-c-d with every m1 = ``m1`` and m2 = 1."""
+    vertices = "".join(f"vertex {x} {m1!r}\n" for x in "abcd")
+    return f"graph 4 3\n{vertices}edge a b 1\nedge b c 1\nedge c d 1\n"
 
 
 class TestCurvatureCommand:
@@ -354,21 +361,32 @@ class TestClassifyCommand:
         assert payload["classification"] == "constant_metric"
         assert payload["tree_case"] == "k13_case"
 
-    def test_tol_zero_flag_reclassifies(self, tmp_path):
-        # path:5 has lambda_max about -0.27; a huge tolerance absorbs it
-        assert main(
-            [
-                "classify",
-                "--named",
-                "path:5",
-                "--tol-zero",
-                "1.0",
-                "--out",
-                str(tmp_path),
-            ]
-        ) == EXIT_OK
-        payload = json.loads((tmp_path / "classify_path5.json").read_text())
-        assert payload["classification"] == "constant_metric"
+    @pytest.mark.parametrize("m1", [1e10, 2.0**40, 1e13], ids=["1e10", "2^40", "1e13"])
+    def test_class_is_free_of_the_measure_scale(self, tmp_path, m1):
+        # every m1 times c scales F by 1/c: the path stays vanishing, however
+        # small its lambda_max, and at a power of two lambda_max scales exactly
+        def run(x, name):
+            graph = tmp_path / f"{name}.graph"
+            graph.write_text(path3_graph(x))
+            assert main(["classify", "--input", str(graph), "--out", str(tmp_path)]) == EXIT_OK
+            payload = json.loads((tmp_path / f"classify_{name}.json").read_text())
+            return payload, classify_convergence(load_graph(str(graph))[0]).lambda_max
+
+        (unit, lam1), (payload, lam) = run(1.0, "unit"), run(m1, "scaled")
+        assert unit["classification"] == payload["classification"] == "vanishing"
+        assert payload["lambda_max"] == pytest.approx(unit["lambda_max"] / m1, rel=1e-11)
+        if m1 == 2.0**40:
+            assert lam == lam1 / m1
+
+    def test_flow_on_a_large_measure_scale(self, tmp_path):
+        # every eigenvalue is below 1e-12 here, so only a gap floor relative to
+        # their scale lets the eigensolve pass
+        graph = tmp_path / "path3.graph"
+        graph.write_text(path3_graph(1e13))
+        argv = ["flow", "--kind", "forman", "--t-end", "1", "--dt", "0.5"]
+        assert main([*argv, "--input", str(graph), "--out", str(tmp_path)]) == EXIT_OK
+        _, rows = read_csv_rows(tmp_path / "flow_path3.csv")
+        assert len(rows) == 9
 
     @pytest.mark.parametrize(
         "argv, name",
@@ -540,7 +558,7 @@ class TestFlowCommand:
         assert f"floating-point range at t={bad_t}" in capsys.readouterr().err
         assert os.listdir(out) == []
         args = build_parser().parse_args(["flow", *argv, "--dt", "0.1"])
-        grid = ricciflow.cli._flow_times(args.t_end, args.dt)
+        grid = ricciflow.cli._flow_times(float(args.t_end), float(args.dt))
         assert steps == np.diff(grid)[:n_steps].tolist() and len(steps) == n_steps
 
     @pytest.mark.parametrize(
@@ -667,12 +685,11 @@ class TestNonFiniteInput:
             ["flow", "--named", "path:2", "--t-end", "inf"],
             ["flow", "--named", "cycle:4", "--kind", "lly", "--t-end", "inf", "--dt", "0.5"],
             ["flow", "--named", "cycle:4", "--kind", "lly", "--dt", "nan"],
-            ["classify", "--named", "path:3", "--tol-zero", "nan"],
-            ["classify", "--named", "path:3", "--tol-zero", "inf"],
             ["inverse", "--named", "star:3", "--kappa", "1,1,1", "--tol", "nan"],
         ],
-        # the ids these cases had when each also named environment variables
-        ids=[f"argv{i}-env{i}" for i in range(8)],
+        # the ids these cases had when each also named environment variables,
+        # and cases 5 and 6 set classify's removed --tol-zero
+        ids=[f"argv{i}-env{i}" for i in (0, 1, 2, 3, 4, 7)],
     )
     def test_float_options_are_input_errors(self, tmp_path, capsys, argv):
         def hung(signum, frame):
@@ -692,16 +709,20 @@ class TestNonFiniteInput:
 
     @pytest.mark.parametrize(
         "argv",
-        [
-            ["classify", "--named", "star:3", "--tol-zero", "-1"],
-            ["inverse", "--named", "star:3", "--kappa", "0,0,0", "--tol", "-1"],
-        ],
-        ids=["tol_zero_flag", "inverse_tol"],
+        [["inverse", "--named", "star:3", "--kappa", "0,0,0", "--tol", "-1"]],
+        ids=["inverse_tol"],
     )
     def test_negative_tolerances_are_input_errors(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == EXIT_INPUT
         assert "nonnegative" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+    def test_float_option_that_is_not_a_number(self, tmp_path, capsys):
+        # the program parses every float option itself, so argparse does not exit
+        out = tmp_path / "out"
+        assert main(["flow", "--named", "path:2", "--dt", "abc", "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: bad --dt value: 'abc'\n"
         assert os.listdir(out) == []
 
     @pytest.mark.parametrize(
@@ -965,16 +986,18 @@ FLOW_CYCLE4 = ["flow", "--named", "cycle:4", "--t-end", "0.1", "--dt", "0.05"]
 # argv per command, run in this order: the option, then its default
 SHARED_PARSER_CASES = {
     "flow_kind": [FLOW_CYCLE4 + ["--kind", "lly"], FLOW_CYCLE4],
+    # keyed by the classify --tol-zero it had before the zero band was derived;
+    # path:5's lambda_max(K) is about -0.27, so --tol 1 makes it solvable
     "classify_tol_zero": [
-        ["classify", "--named", "path:5", "--tol-zero", "1"],
-        ["classify", "--named", "path:5"],
+        ["inverse", "--named", "path:5", "--kappa", "0,0,0,0,0", "--tol", "1"],
+        ["inverse", "--named", "path:5", "--kappa", "0,0,0,0,0"],
     ],
 }
 
 
 class TestErrorModel:
     def test_one_exception_class_per_exit_code(self):
-        # exit 2 is InputError or GraphError, exit 3 NumericalFailure
+        # exit 2 is GraphError, exit 3 NumericalFailure
         modules = [ricciflow] + [
             importlib.import_module(m.name)
             for m in pkgutil.iter_modules(ricciflow.__path__, "ricciflow.")
@@ -988,7 +1011,6 @@ class TestErrorModel:
             and obj.__module__ == module.__name__
         }
         assert defined == {
-            "ricciflow.cli.InputError",
             "ricciflow.graph.GraphError",
             "ricciflow.graph.NumericalFailure",
         }
@@ -1020,14 +1042,15 @@ class TestSharedParser:
 
 class TestRemovedSwitches:
     # LLY flows always run surgery, the transport column always uses
-    # default_epsilon, and classify reads its tolerance from --tol-zero alone
+    # default_epsilon, and classify derives its zero band from the eigensolve
     @pytest.mark.parametrize(
         "argv",
         [
             ["flow", "--named", "cycle:4", "--kind", "lly", "--no-surgery"],
             ["curvature", "--named", "cycle:4", "--epsilon", "0.1"],
+            ["classify", "--named", "path:5", "--tol-zero", "1"],
         ],
-        ids=["no_surgery", "epsilon"],
+        ids=["no_surgery", "epsilon", "tol_zero"],
     )
     def test_parser_refuses(self, tmp_path, capsys, argv):
         out = tmp_path / "out"

@@ -4,7 +4,9 @@ Every connected graph on 2-6 vertices in networkx's atlas (Read & Wilson,
 *An Atlas of Graphs*), 142 in all, is checked twice: once with uniform
 measures and metric, and once with m1 and m2 drawn from [0.5, 2) and
 omega = 1 + 0.2 * rand, from a generator seeded by the atlas index.  The
-set is exhaustive, so no sample can miss a counterexample.
+set is exhaustive, so no sample can miss a counterexample.  On the same
+graphs, scaling m1 or m2 by a power of two must leave the Forman flow's
+class and limit as they are, bit for bit.
 
 The Lin-Lu-Yau flow exists on every graph, so every connected non-tree
 graph on 3-5 vertices, 23 in all, flows to its end under four seeded
@@ -19,6 +21,7 @@ from ricciflow import (
     MeasuredGraph,
     MetricAssignment,
     build_flow_matrix,
+    classify_convergence,
     eigendecompose,
     forman_vector,
     is_tree,
@@ -72,6 +75,23 @@ def test_invariants(index, h, measures):
     if g.n_edges > 1:
         assert sd.eigenvalues[-1] - sd.eigenvalues[-2] > EIGEN_GAP_TOL
     assert np.all(sd.perron_vector > 0)
+
+
+@pytest.mark.parametrize("measures", ["uniform", "random"])
+@pytest.mark.parametrize("index, h", ATLAS, ids=[f"G{i}" for i, _ in ATLAS])
+def test_forman_limit_is_free_of_the_measure_scale(index, h, measures):
+    # m1 -> c m1 scales F by 1/c and m2 -> c m2 scales it by c, so the class
+    # and the limiting normalized metric stay, and lambda_max scales exactly
+    g, _ = atlas_case(index, h, measures)
+    base = classify_convergence(g)
+    for j in (-60, -40, 40, 60):
+        c = 2.0**j
+        for m1, m2, factor in ((c * g.m1, g.m2, 1 / c), (g.m1, c * g.m2, c)):
+            report = classify_convergence(MeasuredGraph(g.vertices, g.edges, m1, m2))
+            assert report.classification == base.classification, (j, factor)
+            assert report.lambda_max == base.lambda_max * factor, (j, factor)
+            limit = report.limiting_normalized_metric
+            assert limit.tobytes() == base.limiting_normalized_metric.tobytes(), (j, factor)
 
 
 @pytest.mark.parametrize("seed", range(4))

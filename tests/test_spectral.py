@@ -27,9 +27,9 @@ from ricciflow import (
 from ricciflow.spectral import (
     BIG_DEGREE_CASE,
     CONSTANT_METRIC,
-    DEFAULT_TOL_ZERO,
     DIVERGENT,
     EIGEN_GAP_TOL,
+    JACOBI_OFFDIAG_TOL,
     K13_CASE,
     PATH_CASE,
     VANISHING,
@@ -193,6 +193,14 @@ class TestEigendecompose:
         fm = FlowMatrix(F=ftilde, sqrt_m2=np.ones(2), Ftilde=ftilde)
         with pytest.raises(NumericalFailure, match=message):
             eigendecompose(fm)
+
+    def test_overflowing_eigenvalue_raises(self):
+        # every entry of this 65-star's flow matrix is finite, but lambda_max,
+        # about 6.3e308, is not
+        m1 = np.array([1e-307] + [1.0] * 65)
+        g = MeasuredGraph(tuple(range(66)), tuple((0, i) for i in range(1, 66)), m1, np.ones(65))
+        with pytest.raises(NumericalFailure, match="eigenvalue overflows"):
+            classify_convergence(g)
 
     def test_perron_sign_flip(self):
         # Jacobi returns this matrix's top eigenvector as (-1, 1)/sqrt(2), whose
@@ -360,6 +368,15 @@ class TestClassify:
         assert rep.classification == DIVERGENT
         assert rep.limiting_curvature == pytest.approx(-3.0, abs=1e-10)
 
+    def test_star3_with_a_lighter_centre_diverges(self):
+        # lambda_max = +1e-10 lies far past the eigensolve's error bound, so its
+        # sign is the exact one
+        m1 = np.array([0.9999999999, 1.0, 1.0, 1.0])
+        g = MeasuredGraph((0, 1, 2, 3), ((0, 1), (0, 2), (0, 3)), m1, np.ones(3))
+        rep = classify_convergence(g)
+        assert rep.classification == DIVERGENT == exact_class(g)
+        assert rep.lambda_max == pytest.approx(1e-10, rel=1e-4)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_report_invariants(self, seed):
         rng = np.random.default_rng(seed)
@@ -509,21 +526,22 @@ def exact_class(g):
 
 class TestExactInertia:
     def test_tree_trichotomy_holds_exactly(self):
-        # every tree of 1-12 edges under uniform measure, 2287 in all
+        # every tree of 1-13 edges under uniform measure, 5446 in all
         limit = {PATH_CASE: VANISHING, K13_CASE: CONSTANT_METRIC, BIG_DEGREE_CASE: DIVERGENT}
         count = 0
-        for n in range(2, 14):
+        for n in range(2, 15):
             for tree in nx.nonisomorphic_trees(n):
                 g = MeasuredGraph(tuple(range(n)), tuple(tree.edges()), np.ones(n), np.ones(n - 1))
                 assert exact_class(g) == limit[classify_tree_uniform(g)], g.edges
                 count += 1
-        assert count == 2287
+        assert count == 5446
 
     @pytest.mark.parametrize("seed", range(10))
     def test_float_class_is_exact_off_the_zero_band(self, seed):
         # classify_convergence decides the class by the float lambda_max; past
-        # tol_zero its sign must be the exact one, and lambda_max lies in an
-        # exactly certified bracket of relative width 1e-10
+        # the eigensolve's error bound JACOBI_OFFDIAG_TOL * rho its sign must be
+        # the exact one, and lambda_max lies in an exactly certified bracket of
+        # relative width 1e-10
         rng = np.random.default_rng(140 + seed)
         for _ in range(10):
             n = int(rng.integers(3, 10))
@@ -532,7 +550,8 @@ class TestExactInertia:
             lam = report.lambda_max
             half = 5e-11 * max(1.0, abs(lam))
             assert exact_inertia(g, lam - half)[0] == 1 and exact_inertia(g, lam + half)[0] == 0
-            if abs(lam) > DEFAULT_TOL_ZERO:
+            rho = np.max(np.abs(eigendecompose(build_flow_matrix(g)).eigenvalues))
+            if abs(lam) > JACOBI_OFFDIAG_TOL * rho:
                 assert report.classification == exact_class(g)
 
 
